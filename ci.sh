@@ -66,18 +66,21 @@ if [[ "${1:-}" != "--quick" ]]; then
         AASD_THREADS=$t cargo test -q --release -p aasd-specdec spsc_stress_hash_chain_with_rollbacks
     done
 
-    echo "==> tree gate: tree speculation losslessness + serving determinism on both kernel tiers"
-    # Tree-structured speculation must commit exactly the autoregressive
-    # stream for every tree shape, collapse byte-identically to the linear
-    # session at branching factor 1, and serve the same tokens through the
-    # engine's tree mode — on the scalar reference tier and on the host's
-    # best backend, so a tree-attention masking bug that only reproduces
-    # under one dispatch tier cannot slip through. (The perf-snapshot smoke
-    # below additionally runs the tree bench section, whose τ gate asserts
-    # the tree beats the best linear/adaptive-γ configuration at an equal
-    # verified-rows budget.)
+    echo "==> tree gate: speculative session golden pin + tree losslessness on both kernel tiers"
+    # There is one speculative session; a chain is its branching-factor-1
+    # tree. The linear chain must reproduce its golden stream and SpecStats
+    # fingerprints (tests/spec_golden.rs) bit for bit, every branching
+    # shape must commit exactly the autoregressive stream, and the engine's
+    # tree mode must serve the same tokens — on the scalar reference tier
+    # and on the host's best backend, so a tree-attention masking bug that
+    # only reproduces under one dispatch tier cannot slip through. (The
+    # perf-snapshot smoke below additionally runs the tree bench section,
+    # whose τ gate asserts the tree beats the best linear/adaptive-γ
+    # configuration at an equal verified-rows budget.)
+    AASD_KERNEL=scalar cargo test -q -p aasd --test spec_golden
     AASD_KERNEL=scalar cargo test -q -p aasd --test tree_lossless
     AASD_KERNEL=scalar cargo test -q -p aasd --test serving_determinism tree
+    cargo test -q -p aasd --test spec_golden
     cargo test -q -p aasd --test tree_lossless
     cargo test -q -p aasd --test serving_determinism tree
     cargo test -q -p aasd-specdec tree
@@ -109,6 +112,13 @@ if [[ "${1:-}" != "--quick" ]]; then
     # BENCH_PR10.json) stays out of CI — run it manually via
     #   cargo run --release -p aasd-bench --bin table1
     cargo run --release -q -p aasd-bench --bin table1 -- /tmp/table1_smoke.json --smoke
+
+    echo "==> serving benchmark: builds and passes its own tests against the current API"
+    # servebench/ sits outside the workspace (its own Cargo.toml and lock),
+    # so the workspace build above never compiles it; build and test it
+    # here so a public-API change that breaks the benchmark fails CI.
+    cargo build --release --offline --manifest-path servebench/Cargo.toml
+    cargo test -q --release --offline --manifest-path servebench/Cargo.toml
 
     echo "==> perf snapshot smoke (every bench section; decode-step + pipeline-throughput regressions vs latest BENCH_PR*.json are hard failures)"
     cargo run --release -q -p aasd-bench --bin perf_snapshot -- /tmp/bench_smoke.json --smoke

@@ -87,15 +87,15 @@
 
 use aasd_bench::{bench_with_budget, json, report, BenchResult};
 use aasd_mm::{
-    distill_hybrid, draft_for, mm_autoregressive_ws, mm_speculative_tree_ws, mm_speculative_ws,
-    seed_draft_prefix, Ablation, HybridDistillConfig, Image, KvProjector, LlavaSim, LlavaSimConfig,
+    distill_hybrid, draft_for, mm_autoregressive_ws, mm_seed_caches, mm_speculative_ws, Ablation,
+    HybridDistillConfig, Image, KvProjector, LlavaSim, LlavaSimConfig,
 };
-use aasd_nn::{Decoder, DecoderConfig, KernelPolicy, KvCache, KvPool};
+use aasd_nn::{Decoder, DecoderConfig, KernelPolicy, KvPool};
 use aasd_serve::{DecodeMode, Engine, EngineConfig, EngineModel, Request, Status};
 use aasd_specdec::{
     autoregressive_greedy, autoregressive_greedy_with_budget_ws, speculative_greedy_with_budget_ws,
     verify_greedy, verify_greedy_sequential, AcceptanceCalibrator, AdaptiveGamma, SpecSession,
-    SpecStats, TreeConfig, TreeSession,
+    SpecStats, TreeConfig,
 };
 use aasd_tensor::{
     argmax, backend, best_supported, hardware_threads, matmul_blocked_into, matmul_naive_into,
@@ -295,34 +295,6 @@ impl Harness {
     fn bench<T>(&self, name: &str, mut f: impl FnMut() -> T) -> BenchResult {
         bench_with_budget(name, self.budget_ns, self.max_samples, &mut f)
     }
-}
-
-/// Multimodal session seeding shared by the tree-speculation section's
-/// hand-driven sessions: target vision+text prefill, ablation-selected
-/// draft vision prefix, draft text prefill. Exactly what
-/// [`mm_speculative_ws`] / [`mm_speculative_tree_ws`] do before entering
-/// their block loops, exposed so the section can drive [`SpecSession`] /
-/// [`TreeSession`] directly (adaptive-γ baseline, example collection).
-#[allow(clippy::too_many_arguments)]
-fn mm_seed_caches(
-    model: &LlavaSim,
-    draft: &Decoder,
-    projector: Option<&KvProjector>,
-    ablation: Ablation,
-    image: &Image,
-    prompt: &[u32],
-    ws: &mut Workspace,
-) -> (KvCache, KvCache, u32) {
-    let mut t_cache = model.lm.new_cache();
-    let pending = model.prefill_ws(image, prompt, &mut t_cache, ws);
-    let mut d_cache = draft.new_cache();
-    seed_draft_prefix(model, projector, ablation, &t_cache, &mut d_cache);
-    if !ablation.drop_text_kv {
-        let mut d_logits = ws.take(prompt.len() * draft.cfg.vocab);
-        draft.forward_infer_ws(prompt, &mut d_cache, ws, &mut d_logits);
-        ws.give(d_logits);
-    }
-    (t_cache, d_cache, pending)
 }
 
 fn main() {
@@ -1455,13 +1427,42 @@ fn main() {
     // wildly on these legs — exactly the volatility branches monetize: on
     // a low-α prompt the linear chain commits ~1 token/block while a
     // depth-1 sibling can still match the correction. Every tree stream is
-    // asserted token-identical to the AR reference, branching factor 1 is
-    // asserted byte-identical (stream AND stats) to the linear session,
-    // and the section gate demands the best tree τ strictly beat the best
-    // linear / adaptive-γ τ at the same rows-per-block budget.
+    // asserted token-identical to the AR reference, and the section gate
+    // demands the best tree τ strictly beat the best linear / adaptive-γ τ
+    // at the same rows-per-block budget.
     println!("\n== tree speculation (token tree vs linear chain, equal verified rows) ==");
     let (_, tree_abl, tree_draft, tree_proj) = &trained[0]; // projector leg
     let gamma_ratio = tree_draft.n_params() as f64 / m7.lm.n_params() as f64;
+    // One projector-leg session on (image, prompt): seeded caches, the
+    // target's vision prefix as the visual-mass boundary, `setup` applied,
+    // stepped to the end.
+    let mut tree_ws = Workspace::new();
+    let mut run_tree = |img: &Image,
+                        prompt: &[u32],
+                        gamma: usize,
+                        tree: TreeConfig,
+                        setup: &dyn Fn(&mut SpecSession)| {
+        let ws = &mut tree_ws;
+        let (mut t_cache, mut d_cache, pending) = mm_seed_caches(
+            &m7,
+            tree_draft,
+            tree_proj.as_ref(),
+            *tree_abl,
+            img,
+            prompt,
+            ws,
+        );
+        let mut s = SpecSession::new(
+            &m7.lm, tree_draft, &t_cache, &d_cache, pending, mm_budget, gamma,
+        )
+        .with_tree(tree)
+        .with_vision_boundary(m7.n_img());
+        setup(&mut s);
+        while !s.is_done() {
+            s.step_block(&m7.lm, tree_draft, &mut t_cache, &mut d_cache, ws);
+        }
+        s
+    };
 
     // Calibration pass: collect target-adjudicated accept/reject examples
     // on calibration images drawn from an RNG stream disjoint from the
@@ -1473,36 +1474,16 @@ fn main() {
     for _ in 0..if h.smoke { 2 } else { 8 } {
         let img = Image::synthetic(&mut cal_rng, cfg7.vision.n_patches, cfg7.vision.patch_dim);
         let prompt: Vec<u32> = (0..6).map(|_| cal_rng.below(mm_vocab) as u32).collect();
-        let (mut t_cache, mut d_cache, pending) = mm_seed_caches(
-            &m7,
-            tree_draft,
-            tree_proj.as_ref(),
-            *tree_abl,
-            &img,
-            &prompt,
-            &mut ws,
-        );
-        let mut s = TreeSession::new(
-            &m7.lm,
-            tree_draft,
-            &t_cache,
-            &d_cache,
-            pending,
-            mm_budget,
-            5,
-            TreeConfig {
-                branch_factor: 3,
-                max_depth: 0,
-                prob_floor: 0.02,
-                calibrator: None,
-                branch_threshold: 0.5,
-            },
-            m7.n_img(),
-        );
-        s.enable_example_collection();
-        while !s.is_done() {
-            s.step_block(&m7.lm, tree_draft, &mut t_cache, &mut d_cache, &mut ws);
-        }
+        let over_propose = TreeConfig {
+            branch_factor: 3,
+            max_depth: 0,
+            prob_floor: 0.02,
+            calibrator: None,
+            branch_threshold: 0.5,
+        };
+        let mut s = run_tree(&img, &prompt, 5, over_propose, &|s| {
+            s.enable_example_collection()
+        });
         cal_examples.extend(s.take_examples());
     }
     let mut cal_opt = Adam::new();
@@ -1529,28 +1510,9 @@ fn main() {
     // Linear AdaptiveGamma baseline: the strongest chain-shaped contender.
     let mut adaptive_merged = SpecStats::default();
     for ((img, prompt), reference) in eval_set.iter().zip(&eval_refs) {
-        let (mut t_cache, mut d_cache, pending) = mm_seed_caches(
-            &m7,
-            tree_draft,
-            tree_proj.as_ref(),
-            *tree_abl,
-            img,
-            prompt,
-            &mut ws,
-        );
-        let mut s = SpecSession::new(
-            &m7.lm,
-            tree_draft,
-            &t_cache,
-            &d_cache,
-            pending,
-            mm_budget,
-            mm_gammas[0],
-        );
-        s.enable_adaptive_gamma(AdaptiveGamma::new(gamma_ratio));
-        while !s.is_done() {
-            s.step_block(&m7.lm, tree_draft, &mut t_cache, &mut d_cache, &mut ws);
-        }
+        let s = run_tree(img, prompt, mm_gammas[0], TreeConfig::linear(), &|s| {
+            s.enable_adaptive_gamma(AdaptiveGamma::new(gamma_ratio))
+        });
         let (out, stats) = s.into_parts();
         assert_eq!(&out, reference, "adaptive-γ losslessness violated");
         adaptive_merged.merge(&stats);
@@ -1561,40 +1523,6 @@ fn main() {
         adaptive_merged.acceptance_rate(),
         tau_adaptive
     );
-
-    // Branching factor 1 must be the linear session, byte for byte —
-    // stream AND counters.
-    for (img, prompt) in &eval_set {
-        let (lin_out, lin_stats) = mm_speculative_ws(
-            &m7,
-            tree_draft,
-            tree_proj.as_ref(),
-            *tree_abl,
-            img,
-            prompt,
-            mm_budget,
-            5,
-            &mut ws,
-        );
-        let (tree_out, tree_stats) = mm_speculative_tree_ws(
-            &m7,
-            tree_draft,
-            tree_proj.as_ref(),
-            *tree_abl,
-            img,
-            prompt,
-            mm_budget,
-            5,
-            TreeConfig::linear(),
-            &mut ws,
-        );
-        assert_eq!(tree_out, lin_out, "bf=1 tree stream diverged from linear");
-        assert_eq!(
-            tree_stats, lin_stats,
-            "bf=1 tree stats diverged from linear"
-        );
-    }
-    println!("bf=1 ≡ linear: byte-identical streams and stats over the eval set");
 
     // Sweep tree shapes at each linear γ's rows-per-block budget and keep
     // the best. `max_depth: 0` means depth = γ (chain-priority); a finite
@@ -1629,18 +1557,8 @@ fn main() {
                 };
                 let mut merged = SpecStats::default();
                 for ((img, prompt), reference) in eval_set.iter().zip(&eval_refs) {
-                    let (out, stats) = mm_speculative_tree_ws(
-                        &m7,
-                        tree_draft,
-                        tree_proj.as_ref(),
-                        *tree_abl,
-                        img,
-                        prompt,
-                        mm_budget,
-                        gamma,
-                        tcfg.clone(),
-                        &mut ws,
-                    );
+                    let (out, stats) =
+                        run_tree(img, prompt, gamma, tcfg.clone(), &|_| {}).into_parts();
                     assert_eq!(
                         &out, reference,
                         "tree losslessness violated: γ={gamma} bf={bf} depth={depth} {gate_name}"
@@ -1684,17 +1602,12 @@ fn main() {
          verified-rows budget: tree {btau:.4} vs linear {best_linear_tau:.4}"
     );
     let tree_bench = h.bench("multimodal/tree/best", || {
-        mm_speculative_tree_ws(
-            &m7,
-            tree_draft,
-            tree_proj.as_ref(),
-            *tree_abl,
+        run_tree(
             &eval_set[0].0,
             &eval_set[0].1,
-            mm_budget,
             bg,
             best_tcfg.clone(),
-            &mut ws,
+            &|_| {},
         )
     });
     report(&tree_bench);
@@ -1737,17 +1650,15 @@ fn main() {
             ),
             json::field("best_linear_tau", &json::num(best_linear_tau)),
             json::field("tree_beats_linear", "true"),
-            json::field("bf1_byte_identical", "true"),
             json::field("lossless", "true"),
             json::field(
                 "note",
                 &json::string(
                     "token-tree speculation on the projector leg at the linear block's \
                      verified-rows budget (γ+1 rows per target pass); every stream \
-                     asserted identical to the autoregressive reference; branching \
-                     factor 1 asserted byte-identical to the linear session; the \
-                     strict τ gate above fails the binary if the tree cannot beat \
-                     the best linear/adaptive-γ configuration",
+                     asserted identical to the autoregressive reference; the strict \
+                     τ gate above fails the binary if the tree cannot beat the best \
+                     linear/adaptive-γ configuration",
                 ),
             ),
         ]),

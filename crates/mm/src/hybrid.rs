@@ -8,10 +8,7 @@ use crate::llava::{LlavaSim, LlavaSimConfig};
 use crate::projector::{seed_raw_vision, KvProjector};
 use crate::vision::Image;
 use aasd_nn::{Decoder, DecoderConfig, KvCache};
-use aasd_specdec::{
-    autoregressive_greedy_seeded_ws, speculative_greedy_seeded_ws, speculative_tree_seeded_ws,
-    SpecStats, TreeConfig,
-};
+use aasd_specdec::{autoregressive_greedy_seeded_ws, speculative_greedy_seeded_ws, SpecStats};
 use aasd_tensor::Workspace;
 
 /// What the draft's cache is seeded with before the speculative loop.
@@ -133,12 +130,35 @@ pub fn mm_autoregressive_ws(
     autoregressive_greedy_seeded_ws(&model.lm, &mut cache, pending, budget, ws)
 }
 
-/// Fused multimodal speculative decoding over the hybrid cache.
-///
-/// Target side: vision prefix (positions `0..n_img`) then the text prompt.
-/// Draft side: the ablation-selected vision prefix, then (unless
-/// `drop_text_kv`) a text prefill. The two caches then advance in lockstep
-/// through [`speculative_greedy_seeded_ws`], which tolerates their length
+/// Seed both caches of a multimodal speculative run. Target side: vision
+/// prefix (positions `0..n_img`) then the text prompt. Draft side: the
+/// ablation-selected vision prefix, then (unless `drop_text_kv`) a text
+/// prefill. Returns `(t_cache, d_cache, pending)`, ready for a
+/// [`SpecSession`](aasd_specdec::SpecSession) of any tree shape.
+pub fn mm_seed_caches(
+    model: &LlavaSim,
+    draft: &Decoder,
+    projector: Option<&KvProjector>,
+    ablation: Ablation,
+    image: &Image,
+    prompt: &[u32],
+    ws: &mut Workspace,
+) -> (KvCache, KvCache, u32) {
+    let mut t_cache = model.lm.new_cache();
+    let pending = model.prefill_ws(image, prompt, &mut t_cache, ws);
+    let mut d_cache = draft.new_cache();
+    seed_draft_prefix(model, projector, ablation, &t_cache, &mut d_cache);
+    if !ablation.drop_text_kv {
+        let mut d_logits = ws.take(prompt.len() * draft.cfg.vocab);
+        draft.forward_infer_ws(prompt, &mut d_cache, ws, &mut d_logits);
+        ws.give(d_logits);
+    }
+    (t_cache, d_cache, pending)
+}
+
+/// Fused multimodal speculative decoding over the hybrid cache: the caches
+/// seeded by [`mm_seed_caches`] advance in lockstep through
+/// [`speculative_greedy_seeded_ws`], which tolerates their length
 /// asymmetry. Token-identical to [`mm_autoregressive_ws`] by greedy
 /// verification, for every ablation.
 #[allow(clippy::too_many_arguments)]
@@ -153,17 +173,8 @@ pub fn mm_speculative_ws(
     gamma: usize,
     ws: &mut Workspace,
 ) -> (Vec<u32>, SpecStats) {
-    let mut t_cache = model.lm.new_cache();
-    let pending = model.prefill_ws(image, prompt, &mut t_cache, ws);
-
-    let mut d_cache = draft.new_cache();
-    seed_draft_prefix(model, projector, ablation, &t_cache, &mut d_cache);
-    if !ablation.drop_text_kv {
-        let mut d_logits = ws.take(prompt.len() * draft.cfg.vocab);
-        draft.forward_infer_ws(prompt, &mut d_cache, ws, &mut d_logits);
-        ws.give(d_logits);
-    }
-
+    let (mut t_cache, mut d_cache, pending) =
+        mm_seed_caches(model, draft, projector, ablation, image, prompt, ws);
     speculative_greedy_seeded_ws(
         &model.lm,
         draft,
@@ -172,52 +183,6 @@ pub fn mm_speculative_ws(
         pending,
         budget,
         gamma,
-        ws,
-    )
-}
-
-/// [`mm_speculative_ws`] with **tree-structured** speculation: identical
-/// prefill and hybrid-cache seeding, but the block loop drafts a token tree
-/// and verifies it in one tree-attention target pass
-/// ([`speculative_tree_seeded_ws`]). The target's vision prefix length is
-/// passed as the visual-attention boundary, so the session's acceptance
-/// calibrator sees a live modality feature. Lossless for every ablation and
-/// tree shape; byte-identical to [`mm_speculative_ws`] at branching
-/// factor 1.
-#[allow(clippy::too_many_arguments)]
-pub fn mm_speculative_tree_ws(
-    model: &LlavaSim,
-    draft: &Decoder,
-    projector: Option<&KvProjector>,
-    ablation: Ablation,
-    image: &Image,
-    prompt: &[u32],
-    budget: usize,
-    gamma: usize,
-    tree: TreeConfig,
-    ws: &mut Workspace,
-) -> (Vec<u32>, SpecStats) {
-    let mut t_cache = model.lm.new_cache();
-    let pending = model.prefill_ws(image, prompt, &mut t_cache, ws);
-
-    let mut d_cache = draft.new_cache();
-    seed_draft_prefix(model, projector, ablation, &t_cache, &mut d_cache);
-    if !ablation.drop_text_kv {
-        let mut d_logits = ws.take(prompt.len() * draft.cfg.vocab);
-        draft.forward_infer_ws(prompt, &mut d_cache, ws, &mut d_logits);
-        ws.give(d_logits);
-    }
-
-    speculative_tree_seeded_ws(
-        &model.lm,
-        draft,
-        &mut t_cache,
-        &mut d_cache,
-        pending,
-        budget,
-        gamma,
-        tree,
-        model.n_img(),
         ws,
     )
 }
@@ -315,52 +280,36 @@ mod tests {
     }
 
     /// Tree speculation over the hybrid cache stays lossless for every
-    /// ablation and branch shape, measures a live visual-mass feature, and
-    /// at branching factor 1 reproduces the linear loop's stream AND stats.
+    /// ablation and branch shape, and the target's verify pass measures a
+    /// live visual-mass feature.
     #[test]
     fn tree_speculation_is_lossless_over_the_hybrid_cache() {
+        use aasd_specdec::{SpecSession, TreeConfig};
         let (model, draft, proj, img, prompt) = setup();
         let mut ws = Workspace::new();
         let budget = 24;
         let reference = mm_autoregressive_ws(&model, &img, &prompt, budget, &mut ws);
         for abl in [Ablation::projector(), Ablation::no_vision()] {
             for bf in [1usize, 2, 3] {
-                let cfg = TreeConfig {
+                let tree = TreeConfig {
                     branch_factor: bf,
                     max_depth: 0,
                     prob_floor: 0.05,
                     calibrator: None,
                     branch_threshold: 0.5,
                 };
-                let (out, stats) = mm_speculative_tree_ws(
-                    &model,
-                    &draft,
-                    Some(&proj),
-                    abl,
-                    &img,
-                    &prompt,
-                    budget,
-                    5,
-                    cfg,
-                    &mut ws,
-                );
+                let (mut tc, mut dc, pending) =
+                    mm_seed_caches(&model, &draft, Some(&proj), abl, &img, &prompt, &mut ws);
+                let mut s = SpecSession::new(&model.lm, &draft, &tc, &dc, pending, budget, 5)
+                    .with_tree(tree)
+                    .with_vision_boundary(model.n_img());
+                while !s.is_done() {
+                    s.step_block(&model.lm, &draft, &mut tc, &mut dc, &mut ws);
+                }
+                assert!(s.visual_mass() > 0.0, "no visual mass measured: {abl:?}");
+                let (out, stats) = s.into_parts();
                 assert_eq!(out, reference, "tree lossless violated: {abl:?} bf={bf}");
                 assert_eq!(stats.generated, budget);
-                if bf == 1 {
-                    let (lin_out, lin_stats) = mm_speculative_ws(
-                        &model,
-                        &draft,
-                        Some(&proj),
-                        abl,
-                        &img,
-                        &prompt,
-                        budget,
-                        5,
-                        &mut ws,
-                    );
-                    assert_eq!(out, lin_out, "bf=1 stream diverged: {abl:?}");
-                    assert_eq!(stats, lin_stats, "bf=1 stats diverged: {abl:?}");
-                }
             }
         }
     }

@@ -15,7 +15,8 @@
 //! * [`projector`] — the [`KvProjector`]: learned `W_K, W_V` compressing
 //!   the vision slice of the target's per-layer KV into `k` rows;
 //! * [`hybrid`] — the [`Ablation`] switches (`use_vision_projector`,
-//!   `drop_vision_kv`, `drop_text_kv`) and the hybrid-cache decode paths
+//!   `drop_vision_kv`, `drop_text_kv`), the cache seeding
+//!   [`mm_seed_caches`], and the hybrid-cache decode paths
 //!   [`mm_autoregressive_ws`] / [`mm_speculative_ws`], built on the seeded
 //!   fused loops in `aasd-specdec`;
 //! * [`train`] — [`distill_hybrid`]: joint draft+projector KL distillation
@@ -34,7 +35,7 @@ pub mod train;
 pub mod vision;
 
 pub use hybrid::{
-    draft_for, draft_for_depth, mm_autoregressive_ws, mm_speculative_tree_ws, mm_speculative_ws,
+    draft_for, draft_for_depth, mm_autoregressive_ws, mm_seed_caches, mm_speculative_ws,
     seed_draft_prefix, Ablation,
 };
 pub use llava::{LlavaSim, LlavaSimConfig};

@@ -36,12 +36,19 @@
 //!   carries an [`AdaptiveGamma`] controller that re-picks its depth each
 //!   block from its own running acceptance rate. Greedy verification is
 //!   lossless under any γ schedule, so this moves α/τ and wall-clock only.
+//! * **Tree speculation** — with `cfg.tree_speculation`, the sync
+//!   scheduler's sessions draft a branching token tree instead of the
+//!   linear chain. It is the same [`SpecSession`]; the flag only picks its
+//!   [`TreeConfig`].
+//! * **Async pipeline** — with `cfg.async_pipeline`, a dedicated draft
+//!   thread per speculative session free-runs ahead through an SPSC ring
+//!   while target workers verify ([`Engine::run_pipeline`]).
 //!
 //! Losslessness survives scheduling by construction: the per-block state
-//! machine a slot steps ([`SpecSession`]) is the *same* one the one-shot
-//! fused loops drive, and its lease is sized so the capacity bound is
-//! exactly the budget bound — a served completion is token-identical to a
-//! single-request `speculative_greedy_seeded_ws` run with the same models
+//! machine a sync slot steps ([`SpecSession`]) is the *same* one the
+//! one-shot fused loops drive, and its lease is sized so the capacity bound
+//! is exactly the budget bound — a served completion is token-identical to
+//! a single-request `speculative_greedy_seeded_ws` run with the same models
 //! and prompt.
 
 use std::collections::{HashMap, VecDeque};
@@ -52,8 +59,8 @@ use std::time::{Duration, Instant};
 use aasd_mm::{seed_draft_prefix, Ablation, Image, KvProjector, LlavaSim};
 use aasd_nn::{Decoder, KernelPolicy, KvCache, KvPool};
 use aasd_specdec::{
-    AcceptanceCalibrator, AdaptiveGamma, ArSession, DraftAhead, DraftStep, SpecSession, SpscRing,
-    TreeConfig, TreeSession, VerifyHalf, CONFIDENCE_STOP, MAX_GAMMA,
+    AcceptanceCalibrator, AdaptiveGamma, ArSession, DraftAhead, DraftStep, SpecSession, SpecStats,
+    SpscRing, TreeConfig, VerifyHalf, CONFIDENCE_STOP, MAX_GAMMA,
 };
 use aasd_tensor::{argmax, Rng, Tensor, Workspace};
 
@@ -183,14 +190,14 @@ pub struct EngineConfig {
     /// only throughput, TTFT, and the per-block statistics change. Off by
     /// default — the tick scheduler remains the reference.
     pub async_pipeline: bool,
-    /// Serve speculative requests with **tree-structured** speculation
-    /// ([`TreeSession`]): the draft grows a token tree (branching factor 2,
-    /// neutral acceptance calibrator), the target scores it in one
-    /// tree-attention pass, and the longest accepted root-to-leaf path is
-    /// committed. Lossless — served streams still equal the AR reference —
-    /// but the per-block statistics change, so it is off by default (the
-    /// linear session stays the property-tested reference). Sync scheduler
-    /// only; incompatible with `async_pipeline`.
+    /// Shape of the token tree speculative sessions draft: off, the linear
+    /// γ-token chain ([`TreeConfig::linear`]); on, a branching tree
+    /// (branching factor 2, neutral acceptance calibrator) that the target
+    /// scores in one tree-attention pass, committing the longest accepted
+    /// root-to-leaf path. Either way the slot runs the same
+    /// [`SpecSession`]. Lossless — served streams still equal the AR
+    /// reference — but the per-block statistics change, so it is off by
+    /// default. Sync scheduler only; incompatible with `async_pipeline`.
     pub tree_speculation: bool,
 }
 
@@ -237,7 +244,6 @@ enum Phase {
     /// scheduling turn so TTFT honestly includes queue wait + prefill.
     Prefill(Request),
     Spec(SpecSession),
-    Tree(TreeSession),
     Ar(ArSession),
 }
 
@@ -941,17 +947,7 @@ impl Engine {
             return;
         };
         if active.handle.is_cancel_requested() {
-            let stats = match &active.phase {
-                Phase::Spec(s) => Some(s.stats().clone()),
-                Phase::Tree(s) => Some(s.stats().clone()),
-                _ => None,
-            };
-            if let Some(s) = &stats {
-                self.metrics.merge_spec_stats(s);
-            }
-            active.handle.finish(Status::Cancelled, stats);
-            self.metrics.requests_cancelled.inc();
-            *cell = None; // drops the leases
+            self.finish_slot(cell, Status::Cancelled);
             return;
         }
         let started = Instant::now();
@@ -963,36 +959,20 @@ impl Engine {
             d_cache,
             vision,
         } = active;
-        match phase {
+        let report = match phase {
             Phase::Prefill(req) => {
                 let req = req.clone();
                 *phase = self.prefill(&req, t_cache, d_cache, vision, ws);
-                // Publish the prefill-decided first token (TTFT = queue
-                // wait + prefill).
-                let (tokens_now, done) = match &*phase {
-                    Phase::Spec(s) => {
-                        handle.push_tokens(s.tokens());
-                        (s.tokens().len(), s.is_done())
-                    }
-                    Phase::Tree(s) => {
-                        handle.push_tokens(s.tokens());
-                        (s.tokens().len(), s.is_done())
-                    }
-                    Phase::Ar(s) => {
-                        handle.push_tokens(s.tokens());
-                        (s.tokens().len(), s.is_done())
-                    }
+                let (tokens, done) = match &*phase {
+                    Phase::Spec(s) => (s.tokens(), s.is_done()),
+                    Phase::Ar(s) => (s.tokens(), s.is_done()),
                     Phase::Prefill(_) => unreachable!(),
                 };
-                debug_assert_eq!(tokens_now, 1);
-                *published = tokens_now;
-                self.metrics.tokens_generated.add(tokens_now as u64);
-                if let Some(ttft) = handle.ttft_ms() {
-                    self.metrics.ttft_ms.record_ms(ttft);
-                }
+                self.publish_prefill(handle, published, tokens);
                 if done {
-                    self.finish_slot(cell);
+                    self.finish_slot(cell, Status::Done);
                 }
+                return;
             }
             Phase::Spec(session) => {
                 let report = session.step_block(
@@ -1002,65 +982,59 @@ impl Engine {
                     d_cache.as_mut().expect("spec session without draft lease"),
                     ws,
                 );
-                let block_ms = started.elapsed().as_secs_f64() * 1e3;
-                self.metrics.block_ms.record_ms(block_ms);
-                if report.committed > 0 {
-                    let new = &session.tokens()[*published..];
-                    debug_assert_eq!(new.len(), report.committed);
-                    handle.push_tokens(new);
-                    *published += report.committed;
-                    self.metrics.tokens_generated.add(report.committed as u64);
-                    for _ in 0..report.committed {
-                        self.metrics
-                            .token_ms
-                            .record_ms(block_ms / report.committed as f64);
-                    }
-                }
-                if report.done {
-                    self.finish_slot(cell);
-                }
-            }
-            Phase::Tree(session) => {
-                let report = session.step_block(
-                    self.model.target_lm(),
-                    self.model.draft(),
-                    t_cache,
-                    d_cache.as_mut().expect("tree session without draft lease"),
-                    ws,
-                );
-                let block_ms = started.elapsed().as_secs_f64() * 1e3;
-                self.metrics.block_ms.record_ms(block_ms);
-                if report.committed > 0 {
-                    let new = &session.tokens()[*published..];
-                    debug_assert_eq!(new.len(), report.committed);
-                    handle.push_tokens(new);
-                    *published += report.committed;
-                    self.metrics.tokens_generated.add(report.committed as u64);
-                    for _ in 0..report.committed {
-                        self.metrics
-                            .token_ms
-                            .record_ms(block_ms / report.committed as f64);
-                    }
-                }
-                if report.done {
-                    self.finish_slot(cell);
-                }
+                self.publish_step(handle, published, session.tokens(), started);
+                report
             }
             Phase::Ar(session) => {
                 let report = session.step(self.model.target_lm(), t_cache, ws);
-                let block_ms = started.elapsed().as_secs_f64() * 1e3;
-                self.metrics.block_ms.record_ms(block_ms);
-                if report.committed > 0 {
-                    let new = &session.tokens()[*published..];
-                    handle.push_tokens(new);
-                    *published += report.committed;
-                    self.metrics.tokens_generated.add(report.committed as u64);
-                    self.metrics.token_ms.record_ms(block_ms);
-                }
-                if report.done {
-                    self.finish_slot(cell);
-                }
+                self.publish_step(handle, published, session.tokens(), started);
+                report
             }
+        };
+        if report.done {
+            self.finish_slot(cell, Status::Done);
+        }
+    }
+
+    /// Push the tokens a session committed since the last publish to its
+    /// handle, advance the `published` cursor, and count them. Returns how
+    /// many were new.
+    fn publish(&self, handle: &RequestHandle, published: &mut usize, tokens: &[u32]) -> usize {
+        let new = &tokens[*published..];
+        if !new.is_empty() {
+            handle.push_tokens(new);
+            *published = tokens.len();
+            self.metrics.tokens_generated.add(new.len() as u64);
+        }
+        new.len()
+    }
+
+    /// Publish the prefill-decided first token and record TTFT (= queue
+    /// wait + prefill). Shared by both schedulers.
+    fn publish_prefill(&self, handle: &RequestHandle, published: &mut usize, tokens: &[u32]) {
+        let n = self.publish(handle, published, tokens);
+        debug_assert_eq!(n, 1);
+        if let Some(ttft) = handle.ttft_ms() {
+            self.metrics.ttft_ms.record_ms(ttft);
+        }
+    }
+
+    /// After one decode step (a speculative block or an AR token) that
+    /// began at `started`: record its wall time as a `block_ms` sample,
+    /// publish what it committed, and split the time evenly over those
+    /// tokens in `token_ms`. Shared by both schedulers.
+    fn publish_step(
+        &self,
+        handle: &RequestHandle,
+        published: &mut usize,
+        tokens: &[u32],
+        started: Instant,
+    ) {
+        let block_ms = started.elapsed().as_secs_f64() * 1e3;
+        self.metrics.block_ms.record_ms(block_ms);
+        let n = self.publish(handle, published, tokens);
+        for _ in 0..n {
+            self.metrics.token_ms.record_ms(block_ms / n as f64);
         }
     }
 
@@ -1194,30 +1168,18 @@ impl Engine {
                     .min(target.cfg.max_seq + 1 - t_cache.len())
                     .min(draft.cfg.max_seq + 1 - d_cache.len());
                 debug_assert_eq!(budget, plan.budget);
-                if self.cfg.tree_speculation {
-                    let tree_cfg = TreeConfig {
+                let tree = if self.cfg.tree_speculation {
+                    TreeConfig {
                         calibrator: Some(AcceptanceCalibrator::neutral()),
                         ..TreeConfig::default()
-                    };
-                    let mut session = TreeSession::new(
-                        target,
-                        draft,
-                        t_cache,
-                        d_cache,
-                        pending,
-                        budget,
-                        gamma,
-                        tree_cfg,
-                        self.model.n_img(),
-                    );
-                    if self.cfg.adaptive_gamma {
-                        let ratio = draft.n_params() as f64 / target.n_params() as f64;
-                        session.enable_adaptive_gamma(AdaptiveGamma::new(ratio));
                     }
-                    return Phase::Tree(session);
-                }
+                } else {
+                    TreeConfig::linear()
+                };
                 let mut session =
-                    SpecSession::new(target, draft, t_cache, d_cache, pending, budget, gamma);
+                    SpecSession::new(target, draft, t_cache, d_cache, pending, budget, gamma)
+                        .with_tree(tree)
+                        .with_vision_boundary(self.model.n_img());
                 if self.cfg.adaptive_gamma {
                     let ratio = draft.n_params() as f64 / target.n_params() as f64;
                     session.enable_adaptive_gamma(AdaptiveGamma::new(ratio));
@@ -1309,25 +1271,31 @@ impl Engine {
         true
     }
 
-    /// Completion bookkeeping; dropping the [`Active`] releases its leases,
-    /// and the freed slot is refilled on the next tick.
-    fn finish_slot(&self, cell: &mut Option<Active>) {
+    /// Completion bookkeeping (done or cancelled); dropping the [`Active`]
+    /// releases its leases, and the freed slot is refilled on the next
+    /// tick.
+    fn finish_slot(&self, cell: &mut Option<Active>, status: Status) {
         let active = cell.take().expect("finishing an empty slot");
         let stats = match active.phase {
-            Phase::Spec(session) => {
-                let (_, stats) = session.into_parts();
-                self.metrics.merge_spec_stats(&stats);
-                Some(stats)
-            }
-            Phase::Tree(session) => {
-                let (_, stats) = session.into_parts();
-                self.metrics.merge_spec_stats(&stats);
-                Some(stats)
-            }
+            Phase::Spec(session) => Some(session.into_parts().1),
             _ => None,
         };
-        active.handle.finish(Status::Done, stats);
-        self.metrics.requests_completed.inc();
+        self.close(&active.handle, status, stats);
+    }
+
+    /// Finish a request's handle with its final status and speculation
+    /// counters, folding both into the engine metrics. Shared by both
+    /// schedulers.
+    fn close(&self, handle: &RequestHandle, status: Status, stats: Option<SpecStats>) {
+        if let Some(s) = &stats {
+            self.metrics.merge_spec_stats(s);
+        }
+        handle.finish(status, stats);
+        if status == Status::Done {
+            self.metrics.requests_completed.inc();
+        } else {
+            self.metrics.requests_cancelled.inc();
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1551,25 +1519,12 @@ impl Engine {
                     };
                 }
             }
-            // Publish the prefill-decided first token (TTFT = queue wait
-            // + prefill, matching the sync scheduler).
-            let (tokens_now, done) = match &active.phase {
-                AsyncPhase::Spec { verify, .. } => {
-                    active.handle.push_tokens(verify.tokens());
-                    (verify.tokens().len(), verify.is_done())
-                }
-                AsyncPhase::Ar(s) => {
-                    active.handle.push_tokens(s.tokens());
-                    (s.tokens().len(), s.is_done())
-                }
+            let (tokens, done) = match &active.phase {
+                AsyncPhase::Spec { verify, .. } => (verify.tokens(), verify.is_done()),
+                AsyncPhase::Ar(s) => (s.tokens(), s.is_done()),
                 AsyncPhase::Prefill(_) => unreachable!(),
             };
-            debug_assert_eq!(tokens_now, 1);
-            active.published = tokens_now;
-            self.metrics.tokens_generated.add(tokens_now as u64);
-            if let Some(ttft) = active.handle.ttft_ms() {
-                self.metrics.ttft_ms.record_ms(ttft);
-            }
+            self.publish_prefill(&active.handle, &mut active.published, tokens);
             if done {
                 self.finish_async(cell, Status::Done, Instant::now() + DRAFT_JOIN_TIMEOUT);
             }
@@ -1631,20 +1586,12 @@ impl Engine {
                     return false;
                 }
                 active.was_idle = false;
-                let block_ms = started.elapsed().as_secs_f64() * 1e3;
-                self.metrics.block_ms.record_ms(block_ms);
-                if report.committed > 0 {
-                    let new = &verify.tokens()[active.published..];
-                    debug_assert_eq!(new.len(), report.committed);
-                    active.handle.push_tokens(new);
-                    active.published += report.committed;
-                    self.metrics.tokens_generated.add(report.committed as u64);
-                    for _ in 0..report.committed {
-                        self.metrics
-                            .token_ms
-                            .record_ms(block_ms / report.committed as f64);
-                    }
-                }
+                self.publish_step(
+                    &active.handle,
+                    &mut active.published,
+                    verify.tokens(),
+                    started,
+                );
                 if report.done {
                     self.finish_async(cell, Status::Done, Instant::now() + DRAFT_JOIN_TIMEOUT);
                 }
@@ -1652,15 +1599,12 @@ impl Engine {
             }
             AsyncPhase::Ar(session) => {
                 let report = session.step(self.model.target_lm(), &mut active.t_cache, ws);
-                let block_ms = started.elapsed().as_secs_f64() * 1e3;
-                self.metrics.block_ms.record_ms(block_ms);
-                if report.committed > 0 {
-                    let new = &session.tokens()[active.published..];
-                    active.handle.push_tokens(new);
-                    active.published += report.committed;
-                    self.metrics.tokens_generated.add(report.committed as u64);
-                    self.metrics.token_ms.record_ms(block_ms);
-                }
+                self.publish_step(
+                    &active.handle,
+                    &mut active.published,
+                    session.tokens(),
+                    started,
+                );
                 if report.done {
                     self.finish_async(cell, Status::Done, Instant::now() + DRAFT_JOIN_TIMEOUT);
                 }
@@ -1763,18 +1707,11 @@ impl Engine {
                 draft_join,
             } => {
                 Self::stop_draft(&link, draft_join, join_deadline);
-                let (_, stats) = verify.into_parts();
-                self.metrics.merge_spec_stats(&stats);
-                Some(stats)
+                Some(verify.into_parts().1)
             }
             _ => None,
         };
-        active.handle.finish(status, stats);
-        if status == Status::Done {
-            self.metrics.requests_completed.inc();
-        } else {
-            self.metrics.requests_cancelled.inc();
-        }
+        self.close(&active.handle, status, stats);
         self.pipe_active.fetch_sub(1, Ordering::Release);
         // A slot freed: wake parked workers so refill runs promptly.
         self.pipe_signal.notify();

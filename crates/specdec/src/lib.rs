@@ -2,33 +2,30 @@
 //!
 //! Speculative decoding (Leviathan et al. 2023; Gagrani et al. 2024 for the
 //! MLLM setting) lets a cheap *draft* model propose γ tokens which the
-//! expensive *target* model then scores in **one** batched forward pass —
-//! the perf heart of this crate is [`verify_greedy`], which does exactly
-//! that over the target's KV cache, against the reference
-//! [`verify_greedy_sequential`] that pays γ separate forwards. The greedy
-//! loop [`speculative_greedy`] is lossless: its output is token-identical
-//! to [`autoregressive_greedy`] on the same target (the root integration
-//! tests assert this), because every committed token is argmax under the
-//! target's own logits.
+//! expensive *target* model then scores in **one** batched forward pass.
+//! Acceptance is greedy: a proposal is committed only when it IS the
+//! target's argmax, so the output is token-identical to
+//! [`autoregressive_greedy`] on the same target (the root integration tests
+//! assert this). Greedy acceptance is the one-hot special case of Leviathan
+//! rejection sampling; this crate implements only the greedy rule — there
+//! is no sampled acceptance mode.
 //!
-//! Greedy acceptance is the one-hot special case of Leviathan rejection
-//! sampling; the stochastic version (accept `x'~q` w.p. `min(1, p/q)`)
-//! arrives with the training stack in a later PR.
-
-//! Two generations of the loop coexist:
+//! The decode loop is one state machine, [`SpecSession`]: each
+//! [`SpecSession::step_block`] drafts a token tree (a γ-token chain by
+//! default — see [`tree`]), verifies it in one target pass that also scores
+//! the pending token left by the previous block (the **pending-token
+//! fold**: the correction/bonus token of block *n* is scored inside block
+//! *n+1*'s batched pass instead of paying its own single-token resync
+//! forward), and commits the accepted path. [`speculative_greedy_seeded_ws`]
+//! and [`speculative_greedy_with_budget_ws`] are its one-shot drivers; the
+//! serving scheduler steps sessions block by block. The asynchronous
+//! pipeline ([`pipeline`]) splits the same block into a free-running draft
+//! half and a verify half.
 //!
-//! * [`speculative_greedy`] / [`autoregressive_greedy`] — the allocating
-//!   reference loops, kept unchanged as the semantic oracle (every
-//!   invariant test pins them);
-//! * [`speculative_greedy_with_budget_ws`] /
-//!   [`autoregressive_greedy_with_budget_ws`] — the fused perf loops: all
-//!   forwards run on the zero-allocation `forward_infer_ws` path, and the
-//!   speculative loop **folds the pending token into the verify block** —
-//!   the correction/bonus token of block *n* is scored inside block
-//!   *n+1*'s batched pass instead of paying its own single-token resync
-//!   forward. That removes one full target pass per block, which on a CPU
-//!   clock is the difference between speculative decoding losing and
-//!   winning at realistic acceptance rates.
+//! Alongside it live the allocating reference loops —
+//! [`speculative_greedy`], [`autoregressive_greedy`], [`verify_greedy`]
+//! and the sequential [`verify_greedy_sequential`] — kept as semantic
+//! oracles and bench baselines.
 //!
 //! Kernel policy rides on the models, not the loops: a `Decoder` switched
 //! to `aasd_nn::KernelPolicy::Int8` runs its fused forwards on the int8
@@ -52,19 +49,17 @@ pub use metrics::SpecStats;
 pub use pipeline::{DraftAhead, DraftStep, VerifyHalf, VerifyReport, CONFIDENCE_STOP};
 pub use ring::{Rollback, SpscRing};
 pub use session::{ArSession, SpecSession, StepReport};
-pub use tree::{
-    speculative_tree_seeded_ws, AcceptanceCalibrator, AcceptanceExample, TreeConfig, TreeSession,
-    CALIBRATOR_FEATURES,
-};
+pub use tree::{AcceptanceCalibrator, AcceptanceExample, TreeConfig, CALIBRATOR_FEATURES};
 
 use aasd_nn::{Decoder, KvCache};
 use aasd_tensor::{argmax, Tensor, Workspace};
 
-/// Exclusive upper bound on γ, shared by **both** loop generations. The
-/// fused loop builds its verify block in a `[u32; MAX_GAMMA]` stack buffer,
-/// and the reference loop enforces the same bound so the two paths accept
-/// and reject identical γ values (regression-tested below). Any realistic
-/// speculative depth is far below this.
+/// Exclusive upper bound on γ, shared by the session and the reference
+/// loop. The session builds its token tree in `[_; MAX_GAMMA]` stack
+/// buffers (and tree-verify masks are 64-bit), and the reference loop
+/// enforces the same bound so both accept and reject identical γ values
+/// (regression-tested below). Any realistic speculative depth is far below
+/// this.
 pub const MAX_GAMMA: usize = 64;
 
 /// Result of verifying one γ-token draft block against the target.
@@ -518,8 +513,8 @@ pub fn speculative_greedy_seeded_ws(
     ws: &mut Workspace,
 ) -> (Vec<u32>, SpecStats) {
     // One-shot driver over the resumable [`SpecSession`] state machine —
-    // the loop body (draft γ, batched verify with the pending-token fold,
-    // commit, rollback) lives in [`SpecSession::step_block`] so the serving
+    // the loop body (draft, batched verify with the pending-token fold,
+    // commit) lives in [`SpecSession::step_block`] so the serving
     // scheduler can interleave many sessions at block granularity while
     // every invariant test on THIS function keeps pinning that body.
     let mut session = SpecSession::new(target, draft, t_cache, d_cache, pending, budget, gamma);

@@ -1,3 +1,4 @@
+//! The linear-chain block of
 //! [`SpecSession::step_block`](crate::SpecSession::step_block) split into
 //! its two halves so a scheduler can run them on **different threads**:
 //! [`DraftAhead`] (producer) speculates a token chain ahead through an

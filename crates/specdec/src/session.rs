@@ -1,19 +1,21 @@
 //! Resumable, block-granular decode sessions.
 //!
-//! The fused loops in the crate root run one request to completion inside a
-//! single function call — fine for a `main`-style harness, useless for a
-//! scheduler that must interleave many requests. [`SpecSession`] and
-//! [`ArSession`] factor the **body** of those loops into an explicit state
-//! machine: one [`SpecSession::step_block`] call executes exactly one
-//! draft-then-verify block (or one plain decode step when there is no room
-//! to speculate), then returns control to the caller. A scheduler can run
-//! block A of session 1, then block A of session 2, then block B of
+//! [`SpecSession`] is the one synchronous speculative state machine: one
+//! [`SpecSession::step_block`] call executes exactly one
+//! draft→verify→commit block (or one plain decode step when there is no
+//! room to speculate), then returns control to the caller. A scheduler can
+//! run block A of session 1, then block A of session 2, then block B of
 //! session 1 — continuous batching at block granularity — and every session
 //! still produces output token-identical to the one-shot loop, because the
-//! one-shot loops themselves are now thin drivers over these sessions
-//! (`speculative_greedy_seeded_ws` = `SpecSession::new` + `step_block` until
-//! done). Every existing losslessness/boundary/τ test therefore pins this
-//! refactor.
+//! one-shot loop is a thin driver over this session
+//! (`speculative_greedy_seeded_ws` = `SpecSession::new` + `step_block`
+//! until done). [`ArSession`] is the autoregressive counterpart.
+//!
+//! A block drafts a token tree shaped by the session's [`TreeConfig`] and
+//! verifies it in one tree-attention target pass (see [`crate::tree`]).
+//! The default shape, [`TreeConfig::linear`], is branching factor 1: the
+//! classic γ-token chain, whose streams and [`SpecStats`] are pinned by
+//! golden fingerprints in `tests/spec_golden.rs`.
 //!
 //! Sessions do **not** own the model or the caches; they own only the loop
 //! state (pending token, emitted tokens, counters). The caller supplies the
@@ -23,6 +25,7 @@
 
 use crate::adaptive::AdaptiveGamma;
 use crate::metrics::SpecStats;
+use crate::tree::{expand, AcceptanceCalibrator, AcceptanceExample, TreeConfig, TreeNodes};
 use crate::MAX_GAMMA;
 use aasd_nn::{Decoder, KvCache};
 use aasd_tensor::{argmax, Workspace};
@@ -40,17 +43,18 @@ pub struct StepReport {
 /// Resumable fused speculative decoding: the seeded pending-token-fold loop
 /// (`speculative_greedy_seeded_ws`) cut at block boundaries.
 ///
-/// Invariants between steps (identical to the one-shot loop's):
+/// Invariants between steps:
 /// * `out` ends with the pending token;
 /// * `t_cache.len() == t_off + out.len() − 1` and likewise for the draft —
-///   **except after the final block**, which skips the rollback exactly as
-///   the one-shot loop does (the session is finished; the caches are about
-///   to be reset or restored anyway).
+///   **except after the final block**, which skips the commit to the caches
+///   (the session is finished; the caches are about to be reset or
+///   restored anyway).
 #[derive(Debug, Clone)]
 pub struct SpecSession {
     pending: u32,
     budget: usize,
     gamma: usize,
+    tree: TreeConfig,
     out: Vec<u32>,
     stats: SpecStats,
     t_off: usize,
@@ -59,10 +63,18 @@ pub struct SpecSession {
     /// Optional per-session γ controller; when set, γ is re-picked from the
     /// running acceptance estimate at the start of every block.
     adaptive: Option<AdaptiveGamma>,
+    /// Target-cache prefix length treated as the vision prefix when
+    /// measuring visual-attention mass (0 ⇒ text-only, no measurement).
+    vis_boundary: usize,
+    /// Lagged EWMA of the verify pass's mean visual-attention mass — the
+    /// calibrator's modality feature for the NEXT block.
+    vis_mass: f32,
+    /// Calibrator training examples, when collection is enabled.
+    examples: Option<Vec<AcceptanceExample>>,
 }
 
 impl SpecSession {
-    /// Start a session from pre-seeded caches (see
+    /// Start a linear-chain session from pre-seeded caches (see
     /// `speculative_greedy_seeded_ws` for the cache contract). `pending` is
     /// the first target-decided token not yet fed to either cache; it is
     /// committed immediately (it was decided by prefill, so it lands in
@@ -96,12 +108,16 @@ impl SpecSession {
             pending,
             budget,
             gamma,
+            tree: TreeConfig::linear(),
             out: Vec::with_capacity(budget),
             stats: SpecStats::default(),
             t_off: t_cache.len(),
             d_off: d_cache.len(),
             done: budget == 0,
             adaptive: None,
+            vis_boundary: 0,
+            vis_mass: 0.0,
+            examples: None,
         };
         if !s.done {
             s.out.push(pending);
@@ -112,6 +128,26 @@ impl SpecSession {
         s
     }
 
+    /// Draft a `tree`-shaped token tree per block instead of the linear
+    /// chain. Lossless for every shape; only α/τ and cost move.
+    pub fn with_tree(mut self, tree: TreeConfig) -> Self {
+        assert!(tree.branch_factor >= 1, "branch factor must be at least 1");
+        self.tree = tree;
+        self
+    }
+
+    /// Treat the first `boundary` target-cache rows as the vision prefix:
+    /// each verify pass then measures the visual-attention mass the
+    /// acceptance calibrator reads (see [`SpecSession::visual_mass`]).
+    pub fn with_vision_boundary(mut self, boundary: usize) -> Self {
+        assert!(
+            boundary <= self.t_off,
+            "vision boundary beyond the prefilled target cache"
+        );
+        self.vis_boundary = boundary;
+        self
+    }
+
     /// Attach an [`AdaptiveGamma`] controller: from the next block on, γ is
     /// chosen per block from the session's own running acceptance rate
     /// instead of staying fixed. Greedy speculative decoding is lossless
@@ -120,10 +156,32 @@ impl SpecSession {
         self.adaptive = Some(controller);
     }
 
-    /// The γ the next block will use (diagnostics).
+    /// Record one [`AcceptanceExample`] per target-adjudicated candidate
+    /// (drain with [`SpecSession::take_examples`]) — calibrator training
+    /// data collection.
+    pub fn enable_example_collection(&mut self) {
+        self.examples.get_or_insert_with(Vec::new);
+    }
+
+    /// Drain the collected training examples.
+    pub fn take_examples(&mut self) -> Vec<AcceptanceExample> {
+        self.examples
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }
+
+    /// The γ (node budget − 1) the next block will use (diagnostics).
     #[inline]
     pub fn gamma(&self) -> usize {
         self.adaptive.as_ref().map_or(self.gamma, |a| a.gamma())
+    }
+
+    /// The running visual-attention-mass feature (diagnostics; 0 without a
+    /// vision boundary).
+    #[inline]
+    pub fn visual_mass(&self) -> f32 {
+        self.vis_mass
     }
 
     /// Tokens emitted so far (monotone; committed tokens never change).
@@ -148,10 +206,12 @@ impl SpecSession {
         (self.out, self.stats)
     }
 
-    /// Execute **one** speculative block: draft up to γ proposals, verify
-    /// them (plus the pending token) in a single batched target pass, commit
-    /// the accepted prefix. Falls back to one plain decode step when budget
-    /// or context leaves no room to speculate. Must be called with the same
+    /// Execute **one** speculative block: draft a token tree of at most γ
+    /// proposals (node budget γ+1 rows, the pending token as root), score
+    /// every node in a single tree-attention target pass, walk the longest
+    /// accepted root-to-leaf path, and commit it plus the correction/bonus
+    /// token. Falls back to one plain decode step when budget or context
+    /// leaves no room to speculate. Must be called with the same
     /// models/caches/workspace the session was created against.
     pub fn step_block(
         &mut self,
@@ -173,12 +233,12 @@ impl SpecSession {
         let d_base = d_cache.len();
         debug_assert_eq!(t_base, self.t_off + self.out.len() - 1);
         debug_assert_eq!(d_base, self.d_off + self.out.len() - 1);
-        // The block feeds g+1 tokens (pending + g proposals) to both caches
-        // and commits at most g+1 new tokens; each model bounds g by its own
-        // remaining room — the tighter of its context window and its cache
-        // lease. `done == false` guarantees budget − out.len() ≥ 1, and the
-        // constructor's budget asserts guarantee base + 1 ≤ the bound, so
-        // the subtractions cannot underflow.
+        // The block feeds at most g+1 rows (pending + g proposals) to each
+        // cache and commits at most g+1 new tokens; each model bounds g by
+        // its own remaining room — the tighter of its context window and
+        // its cache lease. `done == false` guarantees budget − out.len() ≥ 1,
+        // and the constructor's budget asserts guarantee base + 1 ≤ the
+        // bound, so the subtractions cannot underflow.
         let t_room = target.cfg.max_seq.min(t_cache.capacity()) - t_base - 1;
         let d_room = draft.cfg.max_seq.min(d_cache.capacity()) - d_base - 1;
         let room = t_room.min(d_room);
@@ -213,69 +273,139 @@ impl SpecSession {
             };
         }
 
-        // Draft phase: feed pending, then each proposal, so the draft cache
-        // covers any accepted prefix (g+1 single-token forwards).
-        let mut d_logits = ws.take(d_vocab);
-        let mut proposals = [0u32; MAX_GAMMA];
-        let mut feed = self.pending;
-        for p in proposals.iter_mut().take(g) {
-            draft.forward_infer_ws(&[feed], d_cache, ws, &mut d_logits);
-            feed = argmax(&d_logits) as u32;
-            *p = feed;
-        }
-        draft.forward_infer_ws(&[feed], d_cache, ws, &mut d_logits);
-        ws.give(d_logits);
-        let proposals = &proposals[..g];
+        // Draft phase: grow the tree from the pending token. Depth ≤
+        // min(max_depth, g), node budget g+1 — the rows a γ=g chain
+        // verifies. A chain feeds the draft g tokens.
+        let depth = match self.tree.max_depth {
+            0 => g,
+            d => d.min(g),
+        };
+        let mut nodes = TreeNodes::root(self.pending);
+        expand(
+            &mut nodes,
+            0,
+            draft,
+            d_cache,
+            ws,
+            &self.tree,
+            g + 1,
+            depth,
+            self.vis_mass,
+        );
+        let n = nodes.n;
 
-        // Verify phase: ONE (g+1)-token target pass scores the pending token
-        // and all g proposals. Row i predicts the token after position
-        // t_base+i, i.e. proposals[i] for i < g, bonus for i = g.
-        let mut v_logits = ws.take((g + 1) * t_vocab);
-        // Build the verify block on the stack (no allocation); γ < MAX_GAMMA
-        // is enforced by the constructor.
-        let mut block = [0u32; MAX_GAMMA];
-        block[0] = self.pending;
-        block[1..=g].copy_from_slice(proposals);
-        target.forward_infer_ws(&block[..=g], t_cache, ws, &mut v_logits);
+        // Verify phase: ONE tree-attention target pass scores all n rows.
+        let vis = nodes.ancestor_masks();
+        let mut v_logits = ws.take(n * t_vocab);
+        let mut mass = [0.0f32; MAX_GAMMA];
+        target.forward_infer_tree_ws(
+            &nodes.toks[..n],
+            &nodes.depths[..n],
+            &vis[..n],
+            self.vis_boundary,
+            t_cache,
+            ws,
+            &mut v_logits,
+            &mut mass[..n],
+        );
 
-        let mut accepted = 0;
-        while accepted < g {
-            let pred = argmax(&v_logits[accepted * t_vocab..(accepted + 1) * t_vocab]) as u32;
-            if pred != proposals[accepted] {
-                break;
+        // Accept walk: from the root, follow the child matching the
+        // target's argmax (greedy drafting makes children distinct, so at
+        // most one matches). The exit prediction is the correction token
+        // on mismatch and the free bonus token at a leaf — uniformly.
+        let row = |i: usize| &v_logits[i * t_vocab..(i + 1) * t_vocab];
+        let mut path = [0usize; MAX_GAMMA];
+        let mut plen = 1usize;
+        let next = loop {
+            let cur = path[plen - 1];
+            let pred = argmax(row(cur)) as u32;
+            match (cur + 1..n).find(|&c| nodes.parents[c] == cur && nodes.toks[c] == pred) {
+                Some(hit) => {
+                    path[plen] = hit;
+                    plen += 1;
+                }
+                None => break pred,
             }
-            accepted += 1;
+        };
+        let accepted = plen - 1;
+
+        if let Some(examples) = &mut self.examples {
+            // Every candidate whose parent lies on the accepted path was
+            // adjudicated by this verify pass — label it.
+            for c in 1..n {
+                let p = nodes.parents[c];
+                if path[..plen].contains(&p) {
+                    let pred = argmax(row(p)) as u32;
+                    examples.push(AcceptanceExample {
+                        features: AcceptanceCalibrator::features(
+                            nodes.probs[c],
+                            nodes.tops[c],
+                            nodes.depths[c] as f32 / depth as f32,
+                            self.vis_mass,
+                        ),
+                        label: if nodes.toks[c] == pred { 1.0 } else { 0.0 },
+                    });
+                }
+            }
         }
-        let next = argmax(&v_logits[accepted * t_vocab..(accepted + 1) * t_vocab]) as u32;
         ws.give(v_logits);
 
+        if self.vis_boundary > 0 {
+            let mean = mass[..n].iter().sum::<f32>() / n as f32;
+            self.vis_mass = 0.7 * self.vis_mass + 0.3 * mean;
+        }
+
         self.stats.blocks += 1;
-        self.stats.drafted += g;
+        self.stats.drafted += n - 1;
         self.stats.accepted += accepted;
         if let Some(ctl) = &mut self.adaptive {
-            ctl.observe(g, accepted);
+            // Chain-equivalent observation: the greedy chain ran the full
+            // depth budget; `accepted` of it survived.
+            ctl.observe(depth, accepted);
         }
-        // Commit the accepted prefix plus the new pending token, clamped to
+        // Commit the accepted path plus the new pending token, clamped to
         // the remaining budget (invariant: stats.generated == out.len()).
         let commit = (accepted + 1).min(self.budget - self.out.len());
         self.stats.generated += commit;
-        self.out
-            .extend_from_slice(&proposals[..commit.min(accepted)]);
+        self.out.extend(
+            path[1..=commit.min(accepted)]
+                .iter()
+                .map(|&p| nodes.toks[p]),
+        );
         if commit > accepted {
             self.out.push(next);
         }
         if self.out.len() >= self.budget {
-            // Final block: skip the rollback, exactly like the one-shot loop.
+            // Final block: the session is finished, skip the cache commit.
             self.done = true;
             return StepReport {
                 committed: self.out.len() - before,
                 done: true,
             };
         }
-        // Roll both caches back to the committed frontier; the new pending
-        // token is fed as part of the NEXT block's verify pass.
-        t_cache.truncate(t_base + 1 + accepted);
-        d_cache.truncate(d_base + 1 + accepted);
+        // Commit the accepted path to both caches. Target: compact its rows
+        // down over the rejected siblings (an identity at branching factor
+        // 1, leaving a plain rollback). Draft: keep the rows the accepted
+        // path shares with the root path the drafting left cached, and
+        // refeed only the rest in one batched forward — bit-identical to
+        // sequential feeds. A chain shares everything but the last
+        // proposal, which is refed only when the whole chain was accepted.
+        t_cache.gather_tail(t_base, &path[..plen]);
+        let cached = d_cache.len() - d_base;
+        let shared = (0..cached.min(plen))
+            .take_while(|&k| nodes.fed[k] == path[k])
+            .count();
+        d_cache.truncate(d_base + shared);
+        if shared < plen {
+            let mut refeed = [0u32; MAX_GAMMA];
+            for (r, &p) in refeed.iter_mut().zip(&path[shared..plen]) {
+                *r = nodes.toks[p];
+            }
+            let rows = plen - shared;
+            let mut dl = ws.take(rows * d_vocab);
+            draft.forward_infer_ws(&refeed[..rows], d_cache, ws, &mut dl);
+            ws.give(dl);
+        }
         self.pending = next;
         StepReport {
             committed: self.out.len() - before,
@@ -364,8 +494,8 @@ impl ArSession {
 mod tests {
     use super::*;
     use crate::{autoregressive_greedy_with_budget, speculative_greedy_with_budget_ws};
-    use aasd_nn::DecoderConfig;
-    use aasd_tensor::Rng;
+    use aasd_nn::{DecoderConfig, KernelPolicy};
+    use aasd_tensor::{Op, Rng};
 
     fn tiny(seed: u64) -> Decoder {
         Decoder::new(DecoderConfig::tiny(40), seed)
@@ -497,5 +627,54 @@ mod tests {
         assert_eq!(stats.generated, 1);
         assert_eq!(stats.prefill_tokens, 1);
         assert_eq!(stats.blocks, 0);
+    }
+
+    /// Draft-forward cost of a linear (branching-factor-1) block, counted
+    /// as decoder forwards (one `Embed` op each). A block drafting g
+    /// proposals feeds the draft g tokens, verifies once, and refeeds the
+    /// last proposal only when the whole chain was accepted and the session
+    /// goes on: g+1 forwards after a rejection, g+2 after a full accept
+    /// (never more than γ+2), 2 for a plain decode step.
+    #[test]
+    fn linear_blocks_refeed_only_after_full_acceptance() {
+        let target = tiny(54);
+        let mut int8 = target.clone();
+        int8.set_kernel_policy(KernelPolicy::Int8);
+        let drafts = [tiny(55), int8, target.clone()];
+        let mut ws = Workspace::new();
+        ws.prof.enable();
+        let (mut rejections, mut full_accepts) = (0, 0);
+        for draft in &drafts {
+            for gamma in [1usize, 3, 5] {
+                let p = [6u32, 1, 33, 8];
+                let (mut tc, pending) = prefill(&target, &p, &mut ws);
+                let (mut dc, _) = prefill(draft, &p, &mut ws);
+                let mut s = SpecSession::new(&target, draft, &tc, &dc, pending, 40, gamma);
+                let mut total = 0;
+                while !s.is_done() {
+                    let (calls, before) = (ws.prof.calls(Op::Embed), s.stats().clone());
+                    let r = s.step_block(&target, draft, &mut tc, &mut dc, &mut ws);
+                    let fwd = (ws.prof.calls(Op::Embed) - calls) as usize;
+                    let g = s.stats().drafted - before.drafted;
+                    let acc = s.stats().accepted - before.accepted;
+                    total += fwd;
+                    assert!(fwd <= gamma + 2, "γ={gamma}: {fwd} forwards in one block");
+                    if g == 0 {
+                        assert!(fwd <= 2, "plain decode step took {fwd} forwards");
+                    } else if acc < g {
+                        rejections += 1;
+                        assert_eq!(fwd, g + 1, "a rejected block must not refeed");
+                    } else if !r.done {
+                        full_accepts += 1;
+                        assert_eq!(fwd, g + 2, "a full accept refeeds one proposal");
+                    }
+                }
+                assert!(total <= s.stats().blocks * (gamma + 2));
+            }
+        }
+        assert!(
+            rejections > 0 && full_accepts > 0,
+            "sweep missed a block kind"
+        );
     }
 }

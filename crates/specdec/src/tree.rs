@@ -1,36 +1,39 @@
-//! Tree-structured speculative decoding (OPT-tree style, sized for the
-//! AASD setting): instead of one γ-token chain, the draft grows a **token
-//! tree** — branching where predicted acceptance is high — and the target
-//! scores the whole tree in ONE batched pass via
+//! The token tree a speculative block drafts and verifies (OPT-tree style,
+//! sized for the AASD setting). Instead of one γ-token chain, the draft
+//! can grow a **token tree** — branching where predicted acceptance is
+//! high — and the target scores the whole tree in ONE batched pass via
 //! [`Decoder::forward_infer_tree_ws`], committing the longest accepted
-//! root-to-leaf path. PR 5's multimodal sweep showed per-prompt acceptance
-//! spanning 0.06–1.0; where a single chain dies at the first disagreement,
-//! a sibling branch that matches the target's argmax keeps the block
-//! alive, lifting block efficiency τ at the **same verified-rows budget**.
+//! root-to-leaf path. Per-prompt acceptance on the multimodal workloads
+//! spans 0.06–1.0; where a single chain dies at the first disagreement, a
+//! sibling branch that matches the target's argmax keeps the block alive,
+//! lifting block efficiency τ at the **same verified-rows budget**.
+//!
+//! This module holds the tree's shape ([`TreeConfig`]), its branch gate
+//! ([`AcceptanceCalibrator`]) and the draft-side growth; the block that
+//! drafts, verifies and commits a tree is [`SpecSession::step_block`].
+//! A chain is the branching-factor-1 tree ([`TreeConfig::linear`], the
+//! session's default shape), so there is one block body, not two.
 //!
 //! Losslessness is inherited, not re-proven: greedy acceptance walks the
 //! tree child-by-child against the target's own argmax, so every committed
 //! token is exactly what autoregressive decoding would emit — and each
 //! root-to-leaf path scores bit-identically to feeding that path linearly
-//! (pinned in `aasd-nn`). At branching factor 1 the tree degenerates to
-//! the linear chain and the whole session is **byte-identical** to
-//! [`SpecSession`](crate::SpecSession): same draft feeds, same verify
-//! rows, same cache states (the path gather is an identity), same stream.
+//! (pinned in `aasd-nn`).
 //!
 //! Where the draft branches is decided by a **modality-aware acceptance
-//! calibrator** ([`AcceptanceCalibrator`]): a logistic head over the
-//! candidate's draft probability, the distribution's top probability, the
-//! node depth, and the session's running **visual-attention mass** (how
-//! much of the target's attention the vision prefix absorbs — measured for
-//! free inside the tree-verify pass). Extra children are only worth a
-//! verified row where the head predicts acceptance; low-probability
-//! subtrees are pruned before they are ever drafted. The head is trained
-//! with the `aasd-train` stack on examples the session collects
-//! ([`TreeSession::enable_example_collection`]).
+//! calibrator**: a logistic head over the candidate's draft probability,
+//! the distribution's top probability, the node depth, and the session's
+//! running **visual-attention mass** (how much of the target's attention
+//! the vision prefix absorbs — measured for free inside the tree-verify
+//! pass). Extra children are only worth a verified row where the head
+//! predicts acceptance; low-probability subtrees are pruned before they are
+//! ever drafted. The head is trained with the `aasd-train` stack on
+//! examples the session collects
+//! ([`SpecSession::enable_example_collection`]).
+//!
+//! [`SpecSession::step_block`]: crate::SpecSession::step_block
+//! [`SpecSession::enable_example_collection`]: crate::SpecSession::enable_example_collection
 
-use crate::adaptive::AdaptiveGamma;
-use crate::metrics::SpecStats;
-use crate::session::StepReport;
 use crate::MAX_GAMMA;
 use aasd_nn::{Decoder, KvCache};
 use aasd_tensor::{argmax, softmax_row, Workspace};
@@ -98,14 +101,14 @@ pub struct AcceptanceExample {
     pub label: f32,
 }
 
-/// Shape of the speculation tree a [`TreeSession`] grows each block. The
-/// node budget is always `γ + 1` rows (root + γ drafted tokens) — the
-/// **same verified-rows budget** a linear γ-chain block spends — so tree
-/// and chain are compared at equal target compute.
+/// Shape of the speculation tree a [`SpecSession`](crate::SpecSession)
+/// grows each block. The node budget is always `γ + 1` rows (root + γ
+/// drafted tokens) — the **same verified-rows budget** a linear γ-chain
+/// block spends — so tree and chain are compared at equal target compute.
 #[derive(Debug, Clone)]
 pub struct TreeConfig {
-    /// Maximum children per node. 1 ⇒ the tree degenerates to the linear
-    /// chain (byte-identical to [`SpecSession`](crate::SpecSession)).
+    /// Maximum children per node (≥ 1). 1 ⇒ the tree is the linear
+    /// γ-token chain.
     pub branch_factor: usize,
     /// Depth limit. 0 ⇒ use γ (the full chain depth); a smaller limit
     /// trades depth for width within the same node budget.
@@ -138,7 +141,8 @@ impl Default for TreeConfig {
 }
 
 impl TreeConfig {
-    /// The degenerate single-chain configuration (reference semantics).
+    /// The single-chain shape: the classic linear speculative block, and
+    /// the session's default.
     pub fn linear() -> Self {
         Self {
             branch_factor: 1,
@@ -152,26 +156,61 @@ impl TreeConfig {
 
 /// Flattened token tree under construction: parallel stack arrays, child
 /// after parent in flat order (the shape `KvCache::gather_tail` and the
-/// ancestor bitmasks rely on).
-struct TreeNodes {
-    toks: [u32; MAX_GAMMA],
-    parents: [usize; MAX_GAMMA],
-    depths: [usize; MAX_GAMMA],
-    probs: [f32; MAX_GAMMA],
-    tops: [f32; MAX_GAMMA],
-    n: usize,
+/// ancestor bitmasks rely on). Node 0 is the root: the session's pending
+/// token.
+pub(crate) struct TreeNodes {
+    pub toks: [u32; MAX_GAMMA],
+    pub parents: [usize; MAX_GAMMA],
+    pub depths: [usize; MAX_GAMMA],
+    pub probs: [f32; MAX_GAMMA],
+    pub tops: [f32; MAX_GAMMA],
+    pub n: usize,
+    /// `fed[k]` is the node whose token the draft cache holds at row
+    /// `base + k`, for every row [`expand`] left in the cache.
+    pub fed: [usize; MAX_GAMMA],
+}
+
+impl TreeNodes {
+    pub fn root(token: u32) -> Self {
+        let mut toks = [0; MAX_GAMMA];
+        toks[0] = token;
+        Self {
+            toks,
+            parents: [usize::MAX; MAX_GAMMA],
+            depths: [0; MAX_GAMMA],
+            probs: [1.0; MAX_GAMMA],
+            tops: [1.0; MAX_GAMMA],
+            n: 1,
+            fed: [0; MAX_GAMMA],
+        }
+    }
+
+    /// Per-row ancestor bitmasks (self bit included) for the tree-verify
+    /// forward.
+    pub fn ancestor_masks(&self) -> [u64; MAX_GAMMA] {
+        let mut vis = [0u64; MAX_GAMMA];
+        for i in 0..self.n {
+            vis[i] = 1 << i;
+            if i > 0 {
+                vis[i] |= vis[self.parents[i]];
+            }
+        }
+        vis
+    }
 }
 
 /// DFS expansion of node `u`'s subtree. Feeds `toks[u]` to the draft,
 /// records up to `branch_factor` children (first = draft argmax, always;
 /// the rest gated by probability floor + calibrator), and recurses
 /// **first-child-first** so the greedy chain claims the node budget before
-/// any sibling — which is exactly what makes branching factor 1 reproduce
-/// the linear draft feeds token for token. The draft cache is rolled back
-/// to the post-`u` state between siblings, so every path sees exactly its
-/// own ancestors.
+/// any sibling — which is what makes branching factor 1 feed the draft the
+/// linear chain token for token. Before each later sibling the draft cache
+/// is rolled back to the post-`u` state, so every path sees exactly its own
+/// ancestors. There is no rollback after the last child: the cache keeps
+/// the last-expanded root path (recorded in `nodes.fed`), which the commit
+/// reuses for whatever prefix it shares with the accepted path.
 #[allow(clippy::too_many_arguments)]
-fn expand(
+pub(crate) fn expand(
     nodes: &mut TreeNodes,
     u: usize,
     draft: &Decoder,
@@ -188,9 +227,11 @@ fn expand(
     let vocab = draft.cfg.vocab;
     let mut dl = ws.take(vocab);
     draft.forward_infer_ws(&[nodes.toks[u]], d_cache, ws, &mut dl);
+    nodes.fed[nodes.depths[u]] = u;
     let fed_len = d_cache.len();
-    // First child from the RAW logits (identical tie-breaks to the linear
-    // draft loop), then softmax in place for candidate probabilities.
+    // First child from the RAW logits (identical tie-breaks to a plain
+    // greedy draft step), then softmax in place for candidate
+    // probabilities.
     let first = argmax(&dl);
     softmax_row(&mut dl);
     let top = dl[first];
@@ -203,7 +244,7 @@ fn expand(
     // while the recursion below still walks the greedy chain ahead of any
     // sibling subtree.
     let child_lo = nodes.n;
-    for r in 0..cfg.branch_factor.max(1) {
+    for r in 0..cfg.branch_factor {
         if nodes.n >= max_nodes {
             break;
         }
@@ -236,394 +277,19 @@ fn expand(
     let child_hi = nodes.n;
     ws.give(dl);
     for c in child_lo..child_hi {
+        if c > child_lo {
+            d_cache.truncate(fed_len);
+        }
         expand(
             nodes, c, draft, d_cache, ws, cfg, max_nodes, max_depth, vis_mass,
         );
-        d_cache.truncate(fed_len);
     }
-}
-
-/// Resumable **tree** speculative decoding: [`SpecSession`]'s contract —
-/// same constructor asserts, same pending-token fold, same block-granular
-/// stepping, same lossless greedy acceptance — with the γ-token chain
-/// generalized to a token tree verified in one target pass.
-///
-/// [`SpecSession`]: crate::SpecSession
-#[derive(Debug, Clone)]
-pub struct TreeSession {
-    pending: u32,
-    budget: usize,
-    gamma: usize,
-    cfg: TreeConfig,
-    out: Vec<u32>,
-    stats: SpecStats,
-    t_off: usize,
-    d_off: usize,
-    done: bool,
-    adaptive: Option<AdaptiveGamma>,
-    /// Target-cache prefix length treated as the vision prefix when
-    /// measuring visual-attention mass (0 ⇒ text-only, no measurement).
-    vis_boundary: usize,
-    /// Lagged EWMA of the verify pass's mean visual-attention mass — the
-    /// calibrator's modality feature for the NEXT block.
-    vis_mass: f32,
-    collect: bool,
-    examples: Vec<AcceptanceExample>,
-}
-
-impl TreeSession {
-    /// Start a tree session from pre-seeded caches; cache/budget contract
-    /// identical to [`SpecSession::new`](crate::SpecSession::new).
-    /// `vis_boundary` is the target cache's vision-prefix length (0 for
-    /// text-only requests).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        target: &Decoder,
-        draft: &Decoder,
-        t_cache: &KvCache,
-        d_cache: &KvCache,
-        pending: u32,
-        budget: usize,
-        gamma: usize,
-        cfg: TreeConfig,
-        vis_boundary: usize,
-    ) -> Self {
-        assert!(
-            (1..MAX_GAMMA).contains(&gamma),
-            "gamma must be in 1..{MAX_GAMMA}"
-        );
-        assert!(cfg.branch_factor >= 1, "branch factor must be at least 1");
-        assert!(
-            t_cache.len() + budget <= target.cfg.max_seq.min(t_cache.capacity()) + 1,
-            "budget exceeds target context window / lease capacity"
-        );
-        assert!(
-            d_cache.len() + budget <= draft.cfg.max_seq.min(d_cache.capacity()) + 1,
-            "budget exceeds draft context window / lease capacity"
-        );
-        assert!(
-            vis_boundary <= t_cache.len(),
-            "vision boundary beyond the prefilled target cache"
-        );
-        let mut s = Self {
-            pending,
-            budget,
-            gamma,
-            cfg,
-            out: Vec::with_capacity(budget),
-            stats: SpecStats::default(),
-            t_off: t_cache.len(),
-            d_off: d_cache.len(),
-            done: budget == 0,
-            adaptive: None,
-            vis_boundary,
-            vis_mass: 0.0,
-            collect: false,
-            examples: Vec::new(),
-        };
-        if !s.done {
-            s.out.push(pending);
-            s.stats.generated += 1;
-            s.stats.prefill_tokens += 1;
-            s.done = s.out.len() == s.budget;
-        }
-        s
-    }
-
-    /// Attach a per-session γ controller; the proposal is bounded by the
-    /// remaining lease/budget via [`AdaptiveGamma::gamma_capped`].
-    pub fn enable_adaptive_gamma(&mut self, controller: AdaptiveGamma) {
-        self.adaptive = Some(controller);
-    }
-
-    /// Record one [`AcceptanceExample`] per target-adjudicated candidate
-    /// (drain with [`TreeSession::take_examples`]) — calibrator training
-    /// data collection.
-    pub fn enable_example_collection(&mut self) {
-        self.collect = true;
-    }
-
-    /// Drain the collected training examples.
-    pub fn take_examples(&mut self) -> Vec<AcceptanceExample> {
-        std::mem::take(&mut self.examples)
-    }
-
-    /// The γ (tree depth budget) the next block will use (diagnostics).
-    #[inline]
-    pub fn gamma(&self) -> usize {
-        self.adaptive.as_ref().map_or(self.gamma, |a| a.gamma())
-    }
-
-    /// The running visual-attention-mass feature (diagnostics).
-    #[inline]
-    pub fn visual_mass(&self) -> f32 {
-        self.vis_mass
-    }
-
-    #[inline]
-    pub fn tokens(&self) -> &[u32] {
-        &self.out
-    }
-
-    #[inline]
-    pub fn stats(&self) -> &SpecStats {
-        &self.stats
-    }
-
-    #[inline]
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    pub fn into_parts(self) -> (Vec<u32>, SpecStats) {
-        (self.out, self.stats)
-    }
-
-    /// Execute **one** tree block: DFS-draft a token tree (node budget
-    /// γ+1 rows — the linear block's verified-rows budget), score every
-    /// node in a single tree-attention target pass, walk the longest
-    /// accepted root-to-leaf path, commit it plus the correction/bonus
-    /// token, and compact the accepted rows in place with
-    /// [`KvCache::gather_tail`]. Falls back to one plain decode step when
-    /// budget or context leaves no room to speculate.
-    pub fn step_block(
-        &mut self,
-        target: &Decoder,
-        draft: &Decoder,
-        t_cache: &mut KvCache,
-        d_cache: &mut KvCache,
-        ws: &mut Workspace,
-    ) -> StepReport {
-        if self.done {
-            return StepReport {
-                committed: 0,
-                done: true,
-            };
-        }
-        let before = self.out.len();
-        let (t_vocab, d_vocab) = (target.cfg.vocab, draft.cfg.vocab);
-        let t_base = t_cache.len();
-        let d_base = d_cache.len();
-        debug_assert_eq!(t_base, self.t_off + self.out.len() - 1);
-        debug_assert_eq!(d_base, self.d_off + self.out.len() - 1);
-        // Same room arithmetic as the linear session: the tree feeds at
-        // most g+1 rows to the target and runs the draft at most g deep.
-        let t_room = target.cfg.max_seq.min(t_cache.capacity()) - t_base - 1;
-        let d_room = draft.cfg.max_seq.min(d_cache.capacity()) - d_base - 1;
-        let room = t_room.min(d_room);
-        if let Some(ctl) = &self.adaptive {
-            self.gamma = ctl.gamma_capped(room.min(self.budget - self.out.len() - 1));
-        }
-        let g = self.gamma.min(self.budget - self.out.len() - 1).min(room);
-        if g == 0 {
-            // One token of budget or context left: plain fused decode step.
-            let mut logits = ws.take(t_vocab);
-            target.forward_infer_ws(&[self.pending], t_cache, ws, &mut logits);
-            let next = argmax(&logits) as u32;
-            ws.give(logits);
-            self.out.push(next);
-            self.stats.blocks += 1;
-            self.stats.generated += 1;
-            if self.out.len() < self.budget {
-                let mut dl = ws.take(d_vocab);
-                draft.forward_infer_ws(&[self.pending], d_cache, ws, &mut dl);
-                ws.give(dl);
-            } else {
-                self.done = true;
-            }
-            self.pending = next;
-            return StepReport {
-                committed: self.out.len() - before,
-                done: self.done,
-            };
-        }
-
-        // Draft phase: grow the tree. Depth ≤ min(cfg.max_depth, g), node
-        // budget g+1 — exactly the rows a linear γ=g block would verify.
-        let depth_eff = if self.cfg.max_depth == 0 {
-            g
-        } else {
-            self.cfg.max_depth.min(g)
-        };
-        let max_nodes = g + 1;
-        let mut nodes = TreeNodes {
-            toks: [0; MAX_GAMMA],
-            parents: [usize::MAX; MAX_GAMMA],
-            depths: [0; MAX_GAMMA],
-            probs: [1.0; MAX_GAMMA],
-            tops: [1.0; MAX_GAMMA],
-            n: 1,
-        };
-        nodes.toks[0] = self.pending;
-        expand(
-            &mut nodes,
-            0,
-            draft,
-            d_cache,
-            ws,
-            &self.cfg,
-            max_nodes,
-            depth_eff,
-            self.vis_mass,
-        );
-        let n = nodes.n;
-        d_cache.truncate(d_base);
-
-        // Verify phase: ONE tree-attention target pass scores all n rows.
-        let mut vis = [0u64; MAX_GAMMA];
-        for i in 0..n {
-            vis[i] = 1 << i;
-            if i > 0 {
-                vis[i] |= vis[nodes.parents[i]];
-            }
-        }
-        let mut v_logits = ws.take(n * t_vocab);
-        let mut mass = [0.0f32; MAX_GAMMA];
-        target.forward_infer_tree_ws(
-            &nodes.toks[..n],
-            &nodes.depths[..n],
-            &vis[..n],
-            self.vis_boundary,
-            t_cache,
-            ws,
-            &mut v_logits,
-            &mut mass[..n],
-        );
-
-        // Accept walk: from the root, follow the child matching the
-        // target's argmax (greedy drafting makes children distinct, so at
-        // most one matches). The exit prediction is the correction token
-        // on mismatch and the free bonus token at a leaf — uniformly.
-        let mut path = [0usize; MAX_GAMMA];
-        let mut plen = 1usize;
-        let mut cur = 0usize;
-        let next = loop {
-            let pred = argmax(&v_logits[cur * t_vocab..(cur + 1) * t_vocab]) as u32;
-            let mut hit = usize::MAX;
-            for c in cur + 1..n {
-                if nodes.parents[c] == cur && nodes.toks[c] == pred {
-                    hit = c;
-                    break;
-                }
-            }
-            if hit == usize::MAX {
-                break pred;
-            }
-            path[plen] = hit;
-            plen += 1;
-            cur = hit;
-        };
-        let accepted = plen - 1;
-
-        if self.collect {
-            // Every candidate whose parent lies on the accepted path was
-            // adjudicated by this verify pass — label it.
-            for c in 1..n {
-                let p = nodes.parents[c];
-                if path[..plen].contains(&p) {
-                    let pred = argmax(&v_logits[p * t_vocab..(p + 1) * t_vocab]) as u32;
-                    self.examples.push(AcceptanceExample {
-                        features: AcceptanceCalibrator::features(
-                            nodes.probs[c],
-                            nodes.tops[c],
-                            nodes.depths[c] as f32 / depth_eff as f32,
-                            self.vis_mass,
-                        ),
-                        label: if nodes.toks[c] == pred { 1.0 } else { 0.0 },
-                    });
-                }
-            }
-        }
-        ws.give(v_logits);
-
-        if self.vis_boundary > 0 {
-            let mean = mass[..n].iter().sum::<f32>() / n as f32;
-            self.vis_mass = 0.7 * self.vis_mass + 0.3 * mean;
-        }
-
-        self.stats.blocks += 1;
-        self.stats.drafted += n - 1;
-        self.stats.accepted += accepted;
-        if let Some(ctl) = &mut self.adaptive {
-            // Chain-equivalent observation: the greedy chain ran the full
-            // depth budget; `accepted` of it survived.
-            ctl.observe(depth_eff, accepted.min(depth_eff));
-        }
-        let commit = (accepted + 1).min(self.budget - self.out.len());
-        self.stats.generated += commit;
-        for &p in path.iter().take(commit.min(accepted) + 1).skip(1) {
-            self.out.push(nodes.toks[p]);
-        }
-        if commit > accepted {
-            self.out.push(next);
-        }
-        if self.out.len() >= self.budget {
-            // Final block: skip the compaction, exactly like the linear
-            // session skips its rollback.
-            self.done = true;
-            return StepReport {
-                committed: self.out.len() - before,
-                done: true,
-            };
-        }
-        // Commit the accepted path: compact its rows down over the
-        // rejected siblings (an identity copy at branching factor 1) and
-        // resync the draft with one batched refeed — bit-identical to the
-        // sequential feeds, so the next block starts from exactly the
-        // state the linear session would hold.
-        t_cache.gather_tail(t_base, &path[..plen]);
-        let mut refeed = [0u32; MAX_GAMMA];
-        refeed[0] = self.pending;
-        for k in 1..plen {
-            refeed[k] = nodes.toks[path[k]];
-        }
-        let mut dl = ws.take(plen * d_vocab);
-        draft.forward_infer_ws(&refeed[..plen], d_cache, ws, &mut dl);
-        ws.give(dl);
-        self.pending = next;
-        StepReport {
-            committed: self.out.len() - before,
-            done: false,
-        }
-    }
-}
-
-/// One-shot driver over [`TreeSession`], mirroring
-/// `speculative_greedy_seeded_ws` (same cache contract and return shape).
-#[allow(clippy::too_many_arguments)]
-pub fn speculative_tree_seeded_ws(
-    target: &Decoder,
-    draft: &Decoder,
-    t_cache: &mut KvCache,
-    d_cache: &mut KvCache,
-    pending: u32,
-    budget: usize,
-    gamma: usize,
-    cfg: TreeConfig,
-    vis_boundary: usize,
-    ws: &mut Workspace,
-) -> (Vec<u32>, SpecStats) {
-    let mut session = TreeSession::new(
-        target,
-        draft,
-        t_cache,
-        d_cache,
-        pending,
-        budget,
-        gamma,
-        cfg,
-        vis_boundary,
-    );
-    while !session.is_done() {
-        session.step_block(target, draft, t_cache, d_cache, ws);
-    }
-    session.into_parts()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{autoregressive_greedy_with_budget, speculative_greedy_seeded_ws};
+    use crate::{autoregressive_greedy_with_budget, AdaptiveGamma, SpecSession, SpecStats};
     use aasd_nn::DecoderConfig;
     use aasd_tensor::Rng;
 
@@ -639,6 +305,26 @@ mod tests {
         let pending = argmax(&logits[(prompt.len() - 1) * vocab..]) as u32;
         ws.give(logits);
         (cache, pending)
+    }
+
+    /// Prefill both models on `p` and run a `tree`-shaped session to the end.
+    fn run_tree(
+        target: &Decoder,
+        draft: &Decoder,
+        p: &[u32],
+        budget: usize,
+        gamma: usize,
+        tree: TreeConfig,
+        ws: &mut Workspace,
+    ) -> (Vec<u32>, SpecStats) {
+        let (mut tc, pending) = prefill(target, p, ws);
+        let (mut dc, _) = prefill(draft, p, ws);
+        let mut s =
+            SpecSession::new(target, draft, &tc, &dc, pending, budget, gamma).with_tree(tree);
+        while !s.is_done() {
+            s.step_block(target, draft, &mut tc, &mut dc, ws);
+        }
+        s.into_parts()
     }
 
     /// Every tree shape is lossless: output ≡ the AR chain, for branching
@@ -666,11 +352,7 @@ mod tests {
                             calibrator: cal,
                             branch_threshold: 0.25,
                         };
-                        let (mut tc, pending) = prefill(&target, &p, &mut ws);
-                        let (mut dc, _) = prefill(&draft, &p, &mut ws);
-                        let (out, stats) = speculative_tree_seeded_ws(
-                            &target, &draft, &mut tc, &mut dc, pending, budget, 5, cfg, 0, &mut ws,
-                        );
+                        let (out, stats) = run_tree(&target, &draft, &p, budget, 5, cfg, &mut ws);
                         assert_eq!(
                             out, reference,
                             "tree lost losslessness: bf={bf} depth={max_depth}"
@@ -678,50 +360,6 @@ mod tests {
                         assert_eq!(stats.generated, budget);
                         assert!(stats.accepted <= stats.drafted);
                     }
-                }
-            }
-        }
-    }
-
-    /// Branching factor 1 is BYTE-identical to the linear session: same
-    /// stream, same stats, and the caches finish in the same state.
-    #[test]
-    fn branching_factor_one_is_byte_identical_to_linear() {
-        let target = tiny(0xB0);
-        let draft = tiny(0xB1);
-        let mut ws = Workspace::new();
-        let mut rng = Rng::new(7);
-        for gamma in [1usize, 3, 5] {
-            let p: Vec<u32> = (0..5).map(|_| rng.below(40) as u32).collect();
-            let budget = 19;
-            let (mut tc_l, pending) = prefill(&target, &p, &mut ws);
-            let (mut dc_l, _) = prefill(&draft, &p, &mut ws);
-            let (want, want_stats) = speculative_greedy_seeded_ws(
-                &target, &draft, &mut tc_l, &mut dc_l, pending, budget, gamma, &mut ws,
-            );
-            let (mut tc_t, pending_t) = prefill(&target, &p, &mut ws);
-            let (mut dc_t, _) = prefill(&draft, &p, &mut ws);
-            assert_eq!(pending, pending_t);
-            let (got, got_stats) = speculative_tree_seeded_ws(
-                &target,
-                &draft,
-                &mut tc_t,
-                &mut dc_t,
-                pending_t,
-                budget,
-                gamma,
-                TreeConfig::linear(),
-                0,
-                &mut ws,
-            );
-            assert_eq!(got, want, "γ={gamma} stream diverged");
-            assert_eq!(got_stats, want_stats, "γ={gamma} stats diverged");
-            assert_eq!(tc_t.len(), tc_l.len());
-            assert_eq!(dc_t.len(), dc_l.len());
-            for l in 0..target.cfg.n_layers {
-                for pos in 0..tc_l.len() {
-                    assert_eq!(tc_l.layer(l).key(pos), tc_t.layer(l).key(pos));
-                    assert_eq!(tc_l.layer(l).value(pos), tc_t.layer(l).value(pos));
                 }
             }
         }
@@ -736,14 +374,10 @@ mod tests {
         let p = [2u32, 9, 33, 1];
         let budget = 21;
         let reference = autoregressive_greedy_with_budget(&target, &p, budget);
-        let (mut tc, pending) = prefill(&target, &p, &mut ws);
-        let (mut dc, _) = prefill(&target, &p, &mut ws);
-        let (out, stats) = speculative_tree_seeded_ws(
+        let (out, stats) = run_tree(
             &target,
             &target,
-            &mut tc,
-            &mut dc,
-            pending,
+            &p,
             budget,
             4,
             TreeConfig {
@@ -753,7 +387,6 @@ mod tests {
                 calibrator: None,
                 branch_threshold: 0.5,
             },
-            0,
             &mut ws,
         );
         assert_eq!(out, reference);
@@ -764,7 +397,7 @@ mod tests {
         assert!(tau > 2.5, "self-draft tree τ too low: {tau}");
     }
 
-    /// The adaptive controller composes with the tree session and stays
+    /// The adaptive controller composes with a branching tree and stays
     /// lossless while γ moves.
     #[test]
     fn adaptive_tree_session_is_lossless() {
@@ -776,17 +409,8 @@ mod tests {
         let reference = autoregressive_greedy_with_budget(&target, &p, budget);
         let (mut tc, pending) = prefill(&target, &p, &mut ws);
         let (mut dc, _) = prefill(&draft, &p, &mut ws);
-        let mut s = TreeSession::new(
-            &target,
-            &draft,
-            &tc,
-            &dc,
-            pending,
-            budget,
-            3,
-            TreeConfig::default(),
-            0,
-        );
+        let mut s = SpecSession::new(&target, &draft, &tc, &dc, pending, budget, 3)
+            .with_tree(TreeConfig::default());
         s.enable_adaptive_gamma(AdaptiveGamma::new(0.25));
         while !s.is_done() {
             let g = s.gamma();
@@ -808,17 +432,8 @@ mod tests {
         let p = [4u32, 17, 2];
         let (mut tc, pending) = prefill(&target, &p, &mut ws);
         let (mut dc, _) = prefill(&draft, &p, &mut ws);
-        let mut s = TreeSession::new(
-            &target,
-            &draft,
-            &tc,
-            &dc,
-            pending,
-            20,
-            4,
-            TreeConfig::default(),
-            0,
-        );
+        let mut s = SpecSession::new(&target, &draft, &tc, &dc, pending, 20, 4)
+            .with_tree(TreeConfig::default());
         s.enable_example_collection();
         while !s.is_done() {
             s.step_block(&target, &draft, &mut tc, &mut dc, &mut ws);

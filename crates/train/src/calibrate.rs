@@ -2,9 +2,11 @@
 //! head `σ(w·f + b)` over per-candidate features (draft probability,
 //! distribution peak, depth, visual-attention mass) predicting whether the
 //! target will accept a drafted token. Examples come straight from
-//! [`TreeSession`](aasd_specdec::TreeSession) runs with example collection
-//! enabled, so the head is fitted on exactly the distribution it will gate
-//! at serve time.
+//! [`SpecSession`](aasd_specdec::SpecSession) runs with example collection
+//! enabled ([`SpecSession::enable_example_collection`]), so the head is
+//! fitted on exactly the distribution it will gate at serve time.
+//!
+//! [`SpecSession::enable_example_collection`]: aasd_specdec::SpecSession::enable_example_collection
 //!
 //! The model is tiny (5 parameters) and convex, so the gradient is written
 //! out by hand — `∂ℓ/∂w = (σ(z) − y)·f`, `∂ℓ/∂b = σ(z) − y` for the

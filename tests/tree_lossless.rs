@@ -1,15 +1,14 @@
 //! Tree-structured speculation through the `aasd` facade: every tree shape
 //! must be token-identical to the autoregressive reference (greedy
 //! verification accepts a node only when it IS the target argmax, so the
-//! committed root-to-leaf path is the AR chain by induction), branching
-//! factor 1 must collapse to the linear session byte for byte, the
-//! property must hold identically on every compiled kernel tier, and the
-//! serving engine's tree mode must reproduce the fused loops.
+//! committed root-to-leaf path is the AR chain by induction), the property
+//! must hold identically on every compiled kernel tier, and the serving
+//! engine's tree mode must reproduce the fused loops. (The linear chain —
+//! branching factor 1 — is pinned by `tests/spec_golden.rs`.)
 
 use aasd::nn::{Decoder, DecoderConfig};
 use aasd::specdec::{
-    autoregressive_greedy_with_budget, speculative_greedy_seeded_ws, speculative_tree_seeded_ws,
-    AcceptanceCalibrator, SpecStats, TreeConfig,
+    autoregressive_greedy_with_budget, AcceptanceCalibrator, SpecSession, SpecStats, TreeConfig,
 };
 use aasd::tensor::{argmax, best_supported, set_backend, Backend, Rng, Workspace};
 
@@ -40,6 +39,24 @@ fn seed(
     (t_cache, d_cache, pending)
 }
 
+/// Prefill both caches on `p` and run a `tree`-shaped session to the end.
+fn run_tree(
+    target: &Decoder,
+    draft: &Decoder,
+    p: &[u32],
+    budget: usize,
+    gamma: usize,
+    tree: TreeConfig,
+    ws: &mut Workspace,
+) -> (Vec<u32>, SpecStats) {
+    let (mut tc, mut dc, pending) = seed(target, draft, p, ws);
+    let mut s = SpecSession::new(target, draft, &tc, &dc, pending, budget, gamma).with_tree(tree);
+    while !s.is_done() {
+        s.step_block(target, draft, &mut tc, &mut dc, ws);
+    }
+    s.into_parts()
+}
+
 fn tree_cfg(bf: usize, depth: usize, cal: Option<AcceptanceCalibrator>) -> TreeConfig {
     TreeConfig {
         branch_factor: bf,
@@ -66,58 +83,14 @@ fn every_tree_shape_matches_autoregressive() {
         for bf in [1usize, 2, 3] {
             for depth in [0usize, 2] {
                 for cal in [None, Some(AcceptanceCalibrator::neutral())] {
-                    let (mut tc, mut dc, pending) = seed(&target, &draft, &p, &mut ws);
-                    let (out, stats) = speculative_tree_seeded_ws(
-                        &target,
-                        &draft,
-                        &mut tc,
-                        &mut dc,
-                        pending,
-                        budget,
-                        4,
-                        tree_cfg(bf, depth, cal),
-                        0,
-                        &mut ws,
-                    );
+                    let tree = tree_cfg(bf, depth, cal);
+                    let (out, stats) = run_tree(&target, &draft, &p, budget, 4, tree, &mut ws);
                     assert_eq!(out, reference, "case {case} bf={bf} depth={depth}");
                     assert_eq!(stats.generated, budget);
                     assert!(stats.block_efficiency() >= 1.0);
                 }
             }
         }
-    }
-}
-
-/// Branching factor 1 IS the linear session: identical stream AND
-/// identical speculation counters — the tree code path adds nothing.
-#[test]
-fn branching_factor_one_collapses_to_the_linear_session() {
-    let vocab = 48;
-    let mut rng = Rng::new(0x7EF);
-    let mut ws = Workspace::new();
-    let target = model(310, vocab);
-    let draft = model(410, vocab);
-    for gamma in [1usize, 3, 5] {
-        let p = prompt(&mut rng, 4, vocab);
-        let (mut tc, mut dc, pending) = seed(&target, &draft, &p, &mut ws);
-        let (lin_out, lin_stats) = speculative_greedy_seeded_ws(
-            &target, &draft, &mut tc, &mut dc, pending, 24, gamma, &mut ws,
-        );
-        let (mut tc2, mut dc2, pending2) = seed(&target, &draft, &p, &mut ws);
-        let (tree_out, tree_stats): (Vec<u32>, SpecStats) = speculative_tree_seeded_ws(
-            &target,
-            &draft,
-            &mut tc2,
-            &mut dc2,
-            pending2,
-            24,
-            gamma,
-            TreeConfig::linear(),
-            0,
-            &mut ws,
-        );
-        assert_eq!(tree_out, lin_out, "γ={gamma} stream diverged");
-        assert_eq!(tree_stats, lin_stats, "γ={gamma} stats diverged");
     }
 }
 
@@ -131,20 +104,8 @@ fn tree_streams_are_identical_across_kernel_tiers() {
     let draft = model(420, vocab);
     let p = [3u32, 9, 17, 4];
     let run = || {
-        let mut ws_local = Workspace::new();
-        let (mut tc, mut dc, pending) = seed(&target, &draft, &p, &mut ws_local);
-        speculative_tree_seeded_ws(
-            &target,
-            &draft,
-            &mut tc,
-            &mut dc,
-            pending,
-            22,
-            4,
-            tree_cfg(2, 0, Some(AcceptanceCalibrator::neutral())),
-            0,
-            &mut ws_local,
-        )
+        let tree = tree_cfg(2, 0, Some(AcceptanceCalibrator::neutral()));
+        run_tree(&target, &draft, &p, 22, 4, tree, &mut Workspace::new())
     };
     let prev = aasd::tensor::backend();
     set_backend(Backend::Scalar).expect("scalar tier always available");
