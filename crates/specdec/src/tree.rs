@@ -289,7 +289,10 @@ pub(crate) fn expand(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{autoregressive_greedy_with_budget, AdaptiveGamma, SpecSession, SpecStats};
+    use crate::{
+        autoregressive_greedy_with_budget, speculative_greedy_seeded_ws, AdaptiveGamma,
+        SpecSession, SpecStats,
+    };
     use aasd_nn::DecoderConfig;
     use aasd_tensor::Rng;
 
@@ -360,6 +363,58 @@ mod tests {
                         assert_eq!(stats.generated, budget);
                         assert!(stats.accepted <= stats.drafted);
                     }
+                }
+            }
+        }
+    }
+
+    /// Branching factor 1 is BYTE-identical to the default linear session
+    /// even with every branch gate set (they only judge extra children):
+    /// same stream, same stats, and the caches finish in the same state.
+    #[test]
+    fn branching_factor_one_is_byte_identical_to_linear() {
+        let target = tiny(0xB0);
+        let draft = tiny(0xB1);
+        let mut ws = Workspace::new();
+        let mut rng = Rng::new(7);
+        for gamma in [1usize, 3, 5] {
+            let p: Vec<u32> = (0..5).map(|_| rng.below(40) as u32).collect();
+            let budget = 19;
+            let (mut tc_l, pending) = prefill(&target, &p, &mut ws);
+            let (mut dc_l, _) = prefill(&draft, &p, &mut ws);
+            let (want, want_stats) = speculative_greedy_seeded_ws(
+                &target, &draft, &mut tc_l, &mut dc_l, pending, budget, gamma, &mut ws,
+            );
+            let (mut tc_t, pending_t) = prefill(&target, &p, &mut ws);
+            let (mut dc_t, _) = prefill(&draft, &p, &mut ws);
+            assert_eq!(pending, pending_t);
+            let tree = TreeConfig {
+                branch_factor: 1,
+                max_depth: 0,
+                prob_floor: 0.5,
+                calibrator: Some(AcceptanceCalibrator::neutral()),
+                branch_threshold: 0.9,
+            };
+            let mut s = SpecSession::new(&target, &draft, &tc_t, &dc_t, pending_t, budget, gamma)
+                .with_tree(tree);
+            while !s.is_done() {
+                s.step_block(&target, &draft, &mut tc_t, &mut dc_t, &mut ws);
+            }
+            let (got, got_stats) = s.into_parts();
+            assert_eq!(got, want, "γ={gamma} stream diverged");
+            assert_eq!(got_stats, want_stats, "γ={gamma} stats diverged");
+            assert_eq!(tc_t.len(), tc_l.len());
+            assert_eq!(dc_t.len(), dc_l.len());
+            for l in 0..target.cfg.n_layers {
+                for pos in 0..tc_l.len() {
+                    assert_eq!(tc_l.layer(l).key(pos), tc_t.layer(l).key(pos));
+                    assert_eq!(tc_l.layer(l).value(pos), tc_t.layer(l).value(pos));
+                }
+            }
+            for l in 0..draft.cfg.n_layers {
+                for pos in 0..dc_l.len() {
+                    assert_eq!(dc_l.layer(l).key(pos), dc_t.layer(l).key(pos));
+                    assert_eq!(dc_l.layer(l).value(pos), dc_t.layer(l).value(pos));
                 }
             }
         }

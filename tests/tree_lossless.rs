@@ -3,12 +3,14 @@
 //! verification accepts a node only when it IS the target argmax, so the
 //! committed root-to-leaf path is the AR chain by induction), the property
 //! must hold identically on every compiled kernel tier, and the serving
-//! engine's tree mode must reproduce the fused loops. (The linear chain —
-//! branching factor 1 — is pinned by `tests/spec_golden.rs`.)
+//! engine's tree mode must reproduce the fused loops. A tree whose branch
+//! gates admit no sibling collapses to the linear session, whose streams
+//! and counters are pinned by `tests/spec_golden.rs`.
 
 use aasd::nn::{Decoder, DecoderConfig};
 use aasd::specdec::{
-    autoregressive_greedy_with_budget, AcceptanceCalibrator, SpecSession, SpecStats, TreeConfig,
+    autoregressive_greedy_with_budget, speculative_greedy_seeded_ws, AcceptanceCalibrator,
+    SpecSession, SpecStats, TreeConfig,
 };
 use aasd::tensor::{argmax, best_supported, set_backend, Backend, Rng, Workspace};
 
@@ -90,6 +92,44 @@ fn every_tree_shape_matches_autoregressive() {
                     assert!(stats.block_efficiency() >= 1.0);
                 }
             }
+        }
+    }
+}
+
+/// Branching factor 1 IS the linear session: identical stream AND
+/// identical speculation counters, whatever the branch gates say (they only
+/// judge extra children). So is any wider tree whose gates admit no
+/// sibling — a probability floor or calibrator threshold above 1.
+#[test]
+fn branching_factor_one_collapses_to_the_linear_session() {
+    let vocab = 48;
+    let mut rng = Rng::new(0x7EF);
+    let mut ws = Workspace::new();
+    let target = model(310, vocab);
+    let draft = model(410, vocab);
+    let gated = |bf: usize, prob_floor: f32, branch_threshold: f32| TreeConfig {
+        branch_factor: bf,
+        max_depth: 0,
+        prob_floor,
+        calibrator: Some(AcceptanceCalibrator::neutral()),
+        branch_threshold,
+    };
+    for gamma in [1usize, 3, 5] {
+        let p = prompt(&mut rng, 4, vocab);
+        let (mut tc, mut dc, pending) = seed(&target, &draft, &p, &mut ws);
+        let (lin_out, lin_stats) = speculative_greedy_seeded_ws(
+            &target, &draft, &mut tc, &mut dc, pending, 24, gamma, &mut ws,
+        );
+        for tree in [
+            gated(1, 0.3, 0.0),
+            gated(1, 0.0, 0.9),
+            gated(3, 1.5, 0.0),
+            gated(2, 0.0, 1.5),
+        ] {
+            let label = format!("γ={gamma} {tree:?}");
+            let (out, stats) = run_tree(&target, &draft, &p, 24, gamma, tree, &mut ws);
+            assert_eq!(out, lin_out, "{label}: stream diverged");
+            assert_eq!(stats, lin_stats, "{label}: stats diverged");
         }
     }
 }
