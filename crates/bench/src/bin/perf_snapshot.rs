@@ -1427,9 +1427,10 @@ fn main() {
     // wildly on these legs — exactly the volatility branches monetize: on
     // a low-α prompt the linear chain commits ~1 token/block while a
     // depth-1 sibling can still match the correction. Every tree stream is
-    // asserted token-identical to the AR reference, and the section gate
-    // demands the best tree τ strictly beat the best linear / adaptive-γ τ
-    // at the same rows-per-block budget.
+    // asserted token-identical to the AR reference, branching factor 1 is
+    // asserted byte-identical (stream AND stats) to the linear session,
+    // and the section gate demands the best tree τ strictly beat the best
+    // linear / adaptive-γ τ at the same rows-per-block budget.
     println!("\n== tree speculation (token tree vs linear chain, equal verified rows) ==");
     let (_, tree_abl, tree_draft, tree_proj) = &trained[0]; // projector leg
     let gamma_ratio = tree_draft.n_params() as f64 / m7.lm.n_params() as f64;
@@ -1523,6 +1524,31 @@ fn main() {
         adaptive_merged.acceptance_rate(),
         tau_adaptive
     );
+
+    // Branching factor 1 with the vision boundary set must be the plain
+    // linear chain, byte for byte — stream AND counters: measuring the
+    // visual mass leaves the chain untouched.
+    for (img, prompt) in &eval_set {
+        let (lin_out, lin_stats) = mm_speculative_ws(
+            &m7,
+            tree_draft,
+            tree_proj.as_ref(),
+            *tree_abl,
+            img,
+            prompt,
+            mm_budget,
+            5,
+            &mut ws,
+        );
+        let (tree_out, tree_stats) =
+            run_tree(img, prompt, 5, TreeConfig::linear(), &|_| {}).into_parts();
+        assert_eq!(tree_out, lin_out, "bf=1 tree stream diverged from linear");
+        assert_eq!(
+            tree_stats, lin_stats,
+            "bf=1 tree stats diverged from linear"
+        );
+    }
+    println!("bf=1 ≡ linear: byte-identical streams and stats over the eval set");
 
     // Sweep tree shapes at each linear γ's rows-per-block budget and keep
     // the best. `max_depth: 0` means depth = γ (chain-priority); a finite
@@ -1650,15 +1676,17 @@ fn main() {
             ),
             json::field("best_linear_tau", &json::num(best_linear_tau)),
             json::field("tree_beats_linear", "true"),
+            json::field("bf1_byte_identical", "true"),
             json::field("lossless", "true"),
             json::field(
                 "note",
                 &json::string(
                     "token-tree speculation on the projector leg at the linear block's \
                      verified-rows budget (γ+1 rows per target pass); every stream \
-                     asserted identical to the autoregressive reference; the strict \
-                     τ gate above fails the binary if the tree cannot beat the best \
-                     linear/adaptive-γ configuration",
+                     asserted identical to the autoregressive reference; branching \
+                     factor 1 asserted byte-identical to the linear session; the \
+                     strict τ gate above fails the binary if the tree cannot beat \
+                     the best linear/adaptive-γ configuration",
                 ),
             ),
         ]),

@@ -280,8 +280,10 @@ mod tests {
     }
 
     /// Tree speculation over the hybrid cache stays lossless for every
-    /// ablation and branch shape, and the target's verify pass measures a
-    /// live visual-mass feature.
+    /// ablation and branch shape, the target's verify pass measures a live
+    /// visual-mass feature, and at branching factor 1 the session (vision
+    /// boundary and gated tree fields set) reproduces the plain linear
+    /// loop's stream AND stats.
     #[test]
     fn tree_speculation_is_lossless_over_the_hybrid_cache() {
         use aasd_specdec::{SpecSession, TreeConfig};
@@ -310,6 +312,21 @@ mod tests {
                 let (out, stats) = s.into_parts();
                 assert_eq!(out, reference, "tree lossless violated: {abl:?} bf={bf}");
                 assert_eq!(stats.generated, budget);
+                if bf == 1 {
+                    let (lin_out, lin_stats) = mm_speculative_ws(
+                        &model,
+                        &draft,
+                        Some(&proj),
+                        abl,
+                        &img,
+                        &prompt,
+                        budget,
+                        5,
+                        &mut ws,
+                    );
+                    assert_eq!(out, lin_out, "bf=1 stream diverged: {abl:?}");
+                    assert_eq!(stats, lin_stats, "bf=1 stats diverged: {abl:?}");
+                }
             }
         }
     }

@@ -1168,18 +1168,18 @@ impl Engine {
                     .min(target.cfg.max_seq + 1 - t_cache.len())
                     .min(draft.cfg.max_seq + 1 - d_cache.len());
                 debug_assert_eq!(budget, plan.budget);
-                let tree = if self.cfg.tree_speculation {
-                    TreeConfig {
-                        calibrator: Some(AcceptanceCalibrator::neutral()),
-                        ..TreeConfig::default()
-                    }
-                } else {
-                    TreeConfig::linear()
-                };
                 let mut session =
-                    SpecSession::new(target, draft, t_cache, d_cache, pending, budget, gamma)
-                        .with_tree(tree)
+                    SpecSession::new(target, draft, t_cache, d_cache, pending, budget, gamma);
+                // Only a calibrated tree reads the visual mass, so only a
+                // tree session pays for measuring it.
+                if self.cfg.tree_speculation {
+                    session = session
+                        .with_tree(TreeConfig {
+                            calibrator: Some(AcceptanceCalibrator::neutral()),
+                            ..TreeConfig::default()
+                        })
                         .with_vision_boundary(self.model.n_img());
+                }
                 if self.cfg.adaptive_gamma {
                     let ratio = draft.n_params() as f64 / target.n_params() as f64;
                     session.enable_adaptive_gamma(AdaptiveGamma::new(ratio));

@@ -1,6 +1,7 @@
-//! The linear-chain block of
-//! [`SpecSession::step_block`](crate::SpecSession::step_block) split into
-//! its two halves so a scheduler can run them on **different threads**:
+//! A separate asynchronous implementation of the linear chain (its own
+//! verify/commit code, not yet folded into
+//! [`SpecSession`](crate::SpecSession)), split into two halves so a
+//! scheduler can run them on **different threads**:
 //! [`DraftAhead`] (producer) speculates a token chain ahead through an
 //! [`SpscRing`], [`VerifyHalf`] (consumer) batches whatever has arrived
 //! into one target pass and commits the accepted prefix.
